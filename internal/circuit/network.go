@@ -90,6 +90,65 @@ func (ch *Chain) AddCharge(dq float64) float64 {
 	return dq
 }
 
+// Parallel accumulates the terminals of a parallel network — capacitance
+// and voltage, node by node — for the equalization arithmetic. It is the
+// scalar kernel behind EqualizeParallel; callers holding concrete nodes
+// feed it directly and skip the Node dispatch.
+type Parallel struct {
+	csum, qsum, minV, maxV float64
+}
+
+// NewParallel returns an empty accumulator.
+func NewParallel() Parallel {
+	return Parallel{minV: math.Inf(1), maxV: math.Inf(-1)}
+}
+
+// Add joins a node of capacitance c at voltage v to the network.
+func (p *Parallel) Add(c, v float64) {
+	p.csum += c
+	p.qsum += c * v
+	if v < p.minV {
+		p.minV = v
+	}
+	if v > p.maxV {
+		p.maxV = v
+	}
+}
+
+// Settle returns the common voltage after equalization and whether any
+// charge moves: false for a network with no capacitance (v = 0), and for
+// one already within a nanovolt of equal. The latter is the steady-state
+// fast path — the redistribution and its dissipation are below rounding,
+// and simulation loops equalize every tick.
+func (p *Parallel) Settle() (v float64, moves bool) {
+	if p.csum == 0 {
+		return 0, false
+	}
+	v = p.qsum / p.csum
+	return v, !(p.maxV-p.minV < 1e-9)
+}
+
+// EqualizeCharge is the terminal charge that brings a node of capacitance
+// c from voltage nv to the common voltage v.
+//
+// A kernel whose charge ends in a product rounds it with an explicit
+// conversion: a caller that inlines the kernel and adds the result to a
+// stored charge must not fuse the product into that sum (FMA on arm64 and
+// similar targets), which the Node helpers never could across their
+// interface calls.
+func EqualizeCharge(c, nv, v float64) float64 {
+	return float64(c * (v - nv))
+}
+
+// GuardLoss returns a dissipation computed as an energy difference, with a
+// result that is negative by rounding alone (above −1e-15 J) zeroed.
+func GuardLoss(loss float64) float64 {
+	if loss < 0 && loss > -1e-15 {
+		return 0
+	}
+	return loss
+}
+
 // EqualizeParallel connects the nodes in parallel and lets charge
 // redistribute until all terminal voltages are equal, conserving total
 // terminal charge. It returns the common final voltage and the energy
@@ -100,31 +159,12 @@ func (ch *Chain) AddCharge(dq float64) float64 {
 // while REACT's isolated banks never connect charged elements at different
 // potentials.
 func EqualizeParallel(nodes ...Node) (v, loss float64) {
-	if len(nodes) == 0 {
-		return 0, 0
-	}
-	var csum, qsum float64
-	minV, maxV := math.Inf(1), math.Inf(-1)
+	p := NewParallel()
 	for _, n := range nodes {
-		c := n.Capacitance()
-		nv := n.Voltage()
-		csum += c
-		qsum += c * nv
-		if nv < minV {
-			minV = nv
-		}
-		if nv > maxV {
-			maxV = nv
-		}
+		p.Add(n.Capacitance(), n.Voltage())
 	}
-	if csum == 0 {
-		return 0, 0
-	}
-	v = qsum / csum
-	// Fast path: a network already within a nanovolt of equal is equalized
-	// in steady state (the redistribution and its dissipation are below
-	// rounding), and simulation loops call this every tick.
-	if maxV-minV < 1e-9 {
+	v, moves := p.Settle()
+	if !moves {
 		return v, 0
 	}
 	var before float64
@@ -133,14 +173,25 @@ func EqualizeParallel(nodes ...Node) (v, loss float64) {
 	}
 	after := 0.0
 	for _, n := range nodes {
-		n.AddCharge(n.Capacitance() * (v - n.Voltage()))
+		n.AddCharge(EqualizeCharge(n.Capacitance(), n.Voltage(), v))
 		after += n.Energy()
 	}
-	loss = before - after
-	if loss < 0 && loss > -1e-15 {
-		loss = 0 // rounding guard
+	return v, GuardLoss(before - after)
+}
+
+// TransferCharge is the charge a diode of forward drop vDrop conducts from
+// a source (capacitance cs at voltage vs) to a destination (cd at vd)
+// before V(src) = V(dst) + vDrop. ok is false when the diode does not
+// conduct: src is not above that level, or either side has no capacitance.
+func TransferCharge(cs, vs, cd, vd, vDrop float64) (dq float64, ok bool) {
+	if vs <= vd+vDrop {
+		return 0, false
 	}
-	return v, loss
+	if cs == 0 || cd == 0 {
+		return 0, false
+	}
+	// Charge balance: vs - dq/cs = vd + dq/cd + vDrop.
+	return (vs - vd - vDrop) * cs * cd / (cs + cd), true
 }
 
 // TransferOneWay conducts charge from src to dst through a diode with
@@ -148,77 +199,92 @@ func EqualizeParallel(nodes ...Node) (v, loss float64) {
 // if src is not above that level). It returns the charge moved and the
 // energy dissipated in the diode and interconnect.
 func TransferOneWay(src, dst Node, vDrop float64) (dq, loss float64) {
-	vs, vd := src.Voltage(), dst.Voltage()
-	if vs <= vd+vDrop {
+	dq, ok := TransferCharge(src.Capacitance(), src.Voltage(), dst.Capacitance(), dst.Voltage(), vDrop)
+	if !ok {
 		return 0, 0
 	}
-	cs, cd := src.Capacitance(), dst.Capacitance()
-	if cs == 0 || cd == 0 {
-		return 0, 0
-	}
-	// Charge balance: vs - dq/cs = vd + dq/cd + vDrop.
-	dq = (vs - vd - vDrop) * cs * cd / (cs + cd)
 	before := src.Energy() + dst.Energy()
 	src.AddCharge(-dq)
 	dst.AddCharge(dq)
-	loss = before - src.Energy() - dst.Energy()
-	if loss < 0 && loss > -1e-15 {
-		loss = 0
-	}
-	return dq, loss
+	return dq, GuardLoss(before - src.Energy() - dst.Energy())
 }
 
-// StoreEnergy delivers dE joules into the node at constant power through a
-// diode with forward drop vDrop, integrating the charge exactly (including
-// from zero volts). It returns the charge delivered and the energy lost in
-// the drop; the remainder, dE − loss, ends up stored.
+// StoreCharge is the charge that delivers dE joules at constant power into
+// capacitance c at terminal voltage v through a diode with forward drop
+// vDrop, integrated exactly (including from zero volts), and the energy
+// lost in the drop; the remainder, dE − loss, ends up stored. It returns
+// 0, 0 for dE ≤ 0, and 0, dE for c = 0 (nowhere to put it; burned in the
+// source).
 //
 // Derivation: pushing charge dq into capacitance C at initial voltage v
 // stores v·dq + dq²/(2C); the source additionally pays vDrop·dq. Solving
 // dE = (v+vDrop)·dq + dq²/(2C) for dq gives the quadratic below.
-func StoreEnergy(n Node, dE, vDrop float64) (dq, loss float64) {
+func StoreCharge(c, v, dE, vDrop float64) (dq, loss float64) {
 	if dE <= 0 {
 		return 0, 0
 	}
-	c := n.Capacitance()
 	if c == 0 {
-		return 0, dE // nowhere to put it; burned in the source
+		return 0, dE
 	}
-	v := n.Voltage() + vDrop
-	dq = c * (math.Sqrt(v*v+2*dE/c) - v)
+	v += vDrop
+	dq = float64(c * (math.Sqrt(v*v+2*dE/c) - v))
+	return dq, vDrop * dq
+}
+
+// StoreEnergy delivers dE joules into the node through a diode with
+// forward drop vDrop (see StoreCharge) and returns the charge delivered
+// and the energy lost in the drop.
+func StoreEnergy(n Node, dE, vDrop float64) (dq, loss float64) {
+	if dE <= 0 {
+		return 0, 0 // before any interface call
+	}
+	dq, loss = StoreCharge(n.Capacitance(), n.Voltage(), dE, vDrop)
 	n.AddCharge(dq)
-	loss = vDrop * dq
 	return dq, loss
 }
 
-// DrawEnergy withdraws up to dE joules from the node and returns the energy
-// actually removed (less than dE only if the node empties first). The
-// withdrawal integrates charge exactly over the voltage sag.
-func DrawEnergy(n Node, dE float64) float64 {
-	if dE <= 0 {
+// DrawCharge is the terminal charge to withdraw from capacitance c at
+// voltage v to supply dE joules, integrated exactly over the voltage sag.
+// It is the full charge c·v when dE reaches the energy extractable before
+// the voltage hits zero, and 0 when there is nothing to draw (dE ≤ 0,
+// c = 0 or v ≤ 0).
+func DrawCharge(c, v, dE float64) float64 {
+	if dE <= 0 || c == 0 || v <= 0 {
 		return 0
 	}
-	c := n.Capacitance()
-	v := n.Voltage()
-	if c == 0 || v <= 0 {
-		return 0
-	}
-	before := n.Energy()
 	// Energy extractable at the terminal before voltage reaches zero.
 	maxTerm := c * v * v / 2
-	var dq float64
 	// v·dq − dq²/(2C) = dE  ⇒  dq = C(v − sqrt(v² − 2dE/C)). When dE is
 	// within rounding of maxTerm the radicand can come out negative even
 	// though dE < maxTerm held; both cases drain the node fully.
 	if rad := v*v - 2*dE/c; dE < maxTerm && rad > 0 {
-		dq = c * (v - math.Sqrt(rad))
-	} else {
-		dq = c * v
+		return float64(c * (v - math.Sqrt(rad)))
 	}
-	n.AddCharge(-dq)
-	drawn := before - n.Energy()
+	return float64(c * v)
+}
+
+// Drawn is the energy a withdrawal released, from the stored energy before
+// and after it, floored at zero against rounding.
+func Drawn(before, after float64) float64 {
+	drawn := before - after
 	if drawn < 0 {
-		drawn = 0
+		return 0
 	}
 	return drawn
+}
+
+// DrawEnergy withdraws up to dE joules from the node (see DrawCharge) and
+// returns the energy actually removed (less than dE only if the node
+// empties first).
+func DrawEnergy(n Node, dE float64) float64 {
+	if dE <= 0 {
+		return 0 // before any interface call
+	}
+	dq := DrawCharge(n.Capacitance(), n.Voltage(), dE)
+	if dq == 0 {
+		return 0
+	}
+	before := n.Energy()
+	n.AddCharge(-dq)
+	return Drawn(before, n.Energy())
 }

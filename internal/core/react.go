@@ -96,10 +96,6 @@ type Buffer struct {
 	ledger buffer.Ledger
 	poll   float64 // seconds until the next controller poll
 
-	// scratch backs connected() so the per-tick Harvest path does not
-	// allocate; its contents are only valid within one call.
-	scratch []circuit.Node
-
 	// guarantee caches GuaranteedEnergy per level. The table depends only
 	// on the immutable config, and workloads probe it every step through
 	// buffer.LevelFor, so it is computed once at construction.
@@ -143,53 +139,58 @@ func (b *Buffer) Config() Config { return b.cfg }
 // Banks exposes the bank states for inspection (tests, tracing).
 func (b *Buffer) Banks() []*Bank { return b.banks }
 
-// connected returns the nodes currently joined to the rail, LLB first. The
-// slice is scratch storage shared across calls — do not retain it.
-func (b *Buffer) connected() []circuit.Node {
-	nodes := append(b.scratch[:0], &b.llb)
-	for _, bank := range b.banks {
-		if bank.State != Disconnected {
-			nodes = append(nodes, bank)
-		}
-	}
-	b.scratch = nodes
-	return nodes
-}
-
 // Harvest implements buffer.Buffer. Incoming charge flows through the input
 // ideal diodes to the lowest-voltage connected node — the paper's "current
 // flows from the harvester to the lowest-voltage bank first". Nodes within
 // 1 mV of the minimum share the charge in proportion to capacitance.
+//
+// The rail is the LLB followed by the connected banks, visited in that
+// order by each pass. The passes call the circuit kernels on the concrete
+// nodes: this is the simulation's hottest path, and circuit.StoreEnergy
+// over a []circuit.Node would cost an interface call per read.
 func (b *Buffer) Harvest(dE float64) {
 	if dE <= 0 {
 		return
 	}
 	b.ledger.Harvested += dE
-	nodes := b.connected()
-	minV := math.Inf(1)
-	for _, n := range nodes {
-		if v := n.Voltage(); v < minV {
+	minV := b.llb.Voltage()
+	for _, bank := range b.banks {
+		if bank.State == Disconnected {
+			continue
+		}
+		if v := bank.Voltage(); v < minV {
 			minV = v
 		}
 	}
 	const tie = 1e-3
 	var groupC float64
-	for _, n := range nodes {
-		if n.Voltage() <= minV+tie {
-			groupC += n.Capacitance()
+	if b.llb.Voltage() <= minV+tie {
+		groupC += b.llb.C
+	}
+	for _, bank := range b.banks {
+		if bank.State != Disconnected && bank.Voltage() <= minV+tie {
+			groupC += bank.Capacitance()
 		}
 	}
 	if groupC == 0 {
 		b.ledger.Clipped += dE
 		return
 	}
-	for _, n := range nodes {
-		if n.Voltage() > minV+tie {
+	if v := b.llb.Voltage(); v <= minV+tie {
+		dq, loss := circuit.StoreCharge(b.llb.C, v, dE*b.llb.C/groupC, b.cfg.DiodeDrop)
+		b.llb.AddCharge(dq)
+		b.ledger.SwitchLoss += loss
+	}
+	for _, bank := range b.banks {
+		if bank.State == Disconnected {
 			continue
 		}
-		share := dE * n.Capacitance() / groupC
-		_, loss := circuit.StoreEnergy(n, share, b.cfg.DiodeDrop)
-		b.ledger.SwitchLoss += loss
+		if v := bank.Voltage(); v <= minV+tie {
+			c := bank.Capacitance()
+			dq, loss := circuit.StoreCharge(c, v, dE*c/groupC, b.cfg.DiodeDrop)
+			bank.AddCharge(dq)
+			b.ledger.SwitchLoss += loss
+		}
 	}
 	b.clip()
 }
@@ -197,15 +198,27 @@ func (b *Buffer) Harvest(dE float64) {
 // Draw implements buffer.Buffer. The device is supplied from the LLB only;
 // banks replenish it through their output diodes during Tick.
 func (b *Buffer) Draw(dE float64) float64 {
-	got := circuit.DrawEnergy(&b.llb, dE)
+	got := b.drawLLB(dE)
 	if got < dE {
 		// LLB alone could not cover the demand within this tick; let the
 		// banks conduct immediately (the output diodes are not clocked).
 		b.relax()
-		got += circuit.DrawEnergy(&b.llb, dE-got)
+		got += b.drawLLB(dE - got)
 	}
 	b.ledger.Consumed += got
 	return got
+}
+
+// drawLLB withdraws up to dE joules from the LLB: circuit.DrawEnergy on
+// the concrete capacitor.
+func (b *Buffer) drawLLB(dE float64) float64 {
+	dq := circuit.DrawCharge(b.llb.C, b.llb.Voltage(), dE)
+	if dq == 0 {
+		return 0
+	}
+	before := b.llb.Energy()
+	b.llb.AddCharge(-dq)
+	return circuit.Drawn(before, b.llb.Energy())
 }
 
 // OutputVoltage implements buffer.Buffer.
@@ -237,7 +250,8 @@ func (b *Buffer) Capacitance() float64 {
 func (b *Buffer) relax() {
 	for iter := 0; iter < 4*len(b.banks)+4; iter++ {
 		var donor *Bank
-		best := b.llb.Voltage() + b.cfg.DiodeDrop + 1e-9
+		vLLB := b.llb.Voltage()
+		best := vLLB + b.cfg.DiodeDrop + 1e-9
 		for _, bank := range b.banks {
 			if bank.State == Disconnected {
 				continue
@@ -250,8 +264,14 @@ func (b *Buffer) relax() {
 		if donor == nil {
 			return
 		}
-		_, loss := circuit.TransferOneWay(donor, &b.llb, b.cfg.DiodeDrop)
-		b.ledger.SwitchLoss += loss
+		// circuit.TransferOneWay(donor, &b.llb, drop) on the concrete
+		// nodes; best is the donor's voltage.
+		if dq, ok := circuit.TransferCharge(donor.Capacitance(), best, b.llb.C, vLLB, b.cfg.DiodeDrop); ok {
+			before := donor.Energy() + b.llb.Energy()
+			donor.AddCharge(-dq)
+			b.llb.AddCharge(dq)
+			b.ledger.SwitchLoss += circuit.GuardLoss(before - donor.Energy() - b.llb.Energy())
+		}
 		b.ledger.Clipped += b.llb.Clip()
 	}
 }
@@ -287,7 +307,7 @@ func (b *Buffer) Tick(now, dt float64, deviceOn bool) {
 		}
 	}
 	over := (b.cfg.BaseOverheadW + b.cfg.OverheadPerBankW*float64(connected)) * dt
-	b.ledger.Overhead += circuit.DrawEnergy(&b.llb, over)
+	b.ledger.Overhead += b.drawLLB(over)
 	b.poll -= dt
 	if b.poll <= 0 {
 		b.poll += 1 / b.cfg.PollHz

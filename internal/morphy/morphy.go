@@ -78,8 +78,7 @@ type Buffer struct {
 	cfg     Config
 	caps    []*circuit.Capacitor
 	chains  []*circuit.Chain
-	nodes   []circuit.Node // chains as circuit nodes; rebuilt with chains
-	idx     int            // current partition index
+	idx     int // current partition index
 	ledger  buffer.Ledger
 	poll    float64
 	holdoff int // polls remaining before another reconfiguration is allowed
@@ -134,20 +133,34 @@ func (b *Buffer) rebuild() {
 		at += m
 		b.chains = append(b.chains, circuit.NewChain(caps...))
 	}
-	b.nodes = b.nodes[:0]
-	for _, ch := range b.chains {
-		b.nodes = append(b.nodes, ch)
-	}
 }
 
 // Name implements buffer.Buffer.
 func (b *Buffer) Name() string { return "Morphy" }
 
 // equalize relaxes the parallel chain network, charging any imbalance to
-// the switch-loss ledger.
+// the switch-loss ledger. It is circuit.EqualizeParallel over the chains,
+// calling the circuit kernels on the concrete *circuit.Chain values: Tick
+// equalizes every step, and the Node form costs an interface call per read.
 func (b *Buffer) equalize() {
-	_, loss := circuit.EqualizeParallel(b.nodes...)
-	b.ledger.SwitchLoss += loss
+	p := circuit.NewParallel()
+	for _, ch := range b.chains {
+		p.Add(ch.Capacitance(), ch.Voltage())
+	}
+	v, moves := p.Settle()
+	if !moves {
+		return
+	}
+	var before float64
+	for _, ch := range b.chains {
+		before += ch.Energy()
+	}
+	after := 0.0
+	for _, ch := range b.chains {
+		ch.AddCharge(circuit.EqualizeCharge(ch.Capacitance(), ch.Voltage(), v))
+		after += ch.Energy()
+	}
+	b.ledger.SwitchLoss += circuit.GuardLoss(before - after)
 }
 
 // Harvest implements buffer.Buffer: charge splits across the paralleled
@@ -171,7 +184,9 @@ func (b *Buffer) Harvest(dE float64) {
 		return
 	}
 	for _, ch := range b.chains {
-		circuit.StoreEnergy(ch, dE*ch.Capacitance()/total, 0)
+		c := ch.Capacitance()
+		dq, _ := circuit.StoreCharge(c, ch.Voltage(), dE*c/total, 0)
+		ch.AddCharge(dq)
 	}
 	b.clip()
 }
@@ -192,7 +207,7 @@ func (b *Buffer) Draw(dE float64) float64 {
 	for iter := 0; iter < 4 && remaining > 1e-18; iter++ {
 		var got float64
 		for _, ch := range b.chains {
-			got += circuit.DrawEnergy(ch, remaining*ch.Capacitance()/total)
+			got += drawChain(ch, remaining*ch.Capacitance()/total)
 		}
 		remaining -= got
 		if got == 0 {
@@ -202,6 +217,18 @@ func (b *Buffer) Draw(dE float64) float64 {
 	consumed := dE - remaining
 	b.ledger.Consumed += consumed
 	return consumed
+}
+
+// drawChain withdraws up to dE joules from one chain: circuit.DrawEnergy on
+// the concrete chain.
+func drawChain(ch *circuit.Chain, dE float64) float64 {
+	dq := circuit.DrawCharge(ch.Capacitance(), ch.Voltage(), dE)
+	if dq == 0 {
+		return 0
+	}
+	before := ch.Energy()
+	ch.AddCharge(-dq)
+	return circuit.Drawn(before, ch.Energy())
 }
 
 // OutputVoltage implements buffer.Buffer: the common rail voltage. The

@@ -28,10 +28,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden metric files")
 
-// goldenTol is the comparison tolerance: effectively exact (the files
-// store full float64 precision), with room for last-bit formatting noise.
-const goldenTol = 1e-9
-
 type goldenCell struct {
 	Latency   float64            `json:"latency_s"`
 	OnTime    float64            `json:"on_time_s"`
@@ -93,16 +89,18 @@ func readGolden(t *testing.T, name string) goldenFile {
 	return g
 }
 
-// near reports a-b within the golden tolerance, relative for large values.
-func near(a, b float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= goldenTol*scale
+// same reports a and b bit-identical. The files store full float64
+// precision and encoding/json round-trips a float64 exactly, so a golden
+// holds exactly the bits the run produced: any difference is a physics
+// change, not formatting noise.
+func same(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
 }
 
 func diffCell(t *testing.T, label string, got, want goldenCell) {
 	t.Helper()
 	check := func(field string, g, w float64) {
-		if !near(g, w) {
+		if !same(g, w) {
 			t.Errorf("%s: %s drifted: %.17g, golden %.17g", label, field, g, w)
 		}
 	}
@@ -126,7 +124,7 @@ func diffCell(t *testing.T, label string, got, want goldenCell) {
 			t.Errorf("%s: metric %q disappeared", label, k)
 			continue
 		}
-		if !near(g, w) {
+		if !same(g, w) {
 			t.Errorf("%s: metric %q drifted: %.17g, golden %.17g", label, k, g, w)
 		}
 	}
@@ -179,6 +177,40 @@ func TestGoldenScenarios(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGoldenPaperCell runs one paper scenario — paper-de-rf-cart, the
+// five paper buffers in one lockstep RunBatch — and diffs it against its
+// committed golden file. It keeps the paper buffers' goldens checked in the
+// -short tier, which skips TestGoldenPaperGrid.
+func TestGoldenPaperCell(t *testing.T) {
+	const name = "paper-de-rf-cart"
+	spec, ok := scenario.Lookup(name)
+	if !ok {
+		t.Fatalf("scenario %q not registered", name)
+	}
+	items := make([]scenario.BatchItem, len(spec.Buffers))
+	for i := range spec.Buffers {
+		items[i] = scenario.BatchItem{Spec: spec, Buffer: i}
+	}
+	results, err := scenario.RunBatch(items, scenario.RunOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readGolden(t, name)
+	if len(want.Buffers) != len(results) {
+		t.Fatalf("golden has %d buffers, the scenario runs %d", len(want.Buffers), len(results))
+	}
+	for i, res := range results {
+		label := spec.Buffers[i].DisplayName()
+		w, ok := want.Buffers[label]
+		if !ok {
+			t.Errorf("buffer %q not in golden", label)
+			continue
+		}
+		simtest.CheckBalance(t, name+"/"+label, res, 1e-6)
+		diffCell(t, name+"/"+label, toGolden(res), w)
 	}
 }
 
@@ -236,7 +268,7 @@ func TestGoldenPaperGrid(t *testing.T) {
 		// the tick grid), which moved the headline gains by up to ~0.03 pp.
 		// Compare against the recorded history at a tolerance that admits
 		// that correction while still catching real regressions; the
-		// per-cell golden files pin the current behaviour at 1e-9.
+		// per-cell golden files pin the current behaviour bit for bit.
 		const tol = 0.05
 		if math.Abs(got-want) > tol {
 			t.Errorf("Figure 7 %s: %.4f%% differs from BENCH_1's %.4f%%", buf, got, want)
