@@ -174,7 +174,7 @@ func TestExploreCancel(t *testing.T) {
 	started := make(chan int, 4)
 	release := make(chan struct{})
 	unblock := mustUnblock(t, release)
-	srv.Submit(blockerSpec(started, release), scenario.RunOptions{})
+	blocker := srv.Submit(blockerSpec(started, release), scenario.RunOptions{})
 	<-started
 
 	re, err := c.ExploreAsync(ctx, &explore.Space{
@@ -195,6 +195,11 @@ func TestExploreCancel(t *testing.T) {
 	}
 	if final.Result != nil {
 		t.Error("a cancelled exploration must not publish a result")
+	}
+	// The released blocker finishes on its own schedule; wait for it so
+	// the depth below counts only what the cancelled exploration left.
+	if _, err := (&RemoteRun{c: c, ID: blocker.ID}).Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
 	m, _ := c.Metrics(ctx)
 	if m.QueueDepth != 0 {

@@ -239,7 +239,7 @@ func TestSweepCancel(t *testing.T) {
 	started := make(chan int, 4)
 	release := make(chan struct{})
 	unblock := mustUnblock(t, release)
-	srv.Submit(blockerSpec(started, release), scenario.RunOptions{})
+	blocker := srv.Submit(blockerSpec(started, release), scenario.RunOptions{})
 	<-started
 
 	sw, err := c.SweepAsync(ctx, SweepRequest{Spec: json.RawMessage(fastSpec), Seeds: []uint64{1, 2}})
@@ -256,6 +256,11 @@ func TestSweepCancel(t *testing.T) {
 	}
 	if len(final.Summary) != 0 {
 		t.Error("a cancelled sweep must not publish summary rows")
+	}
+	// The released blocker finishes on its own schedule; wait for it so
+	// the depth below counts only what the cancelled sweep left.
+	if _, err := (&RemoteRun{c: c, ID: blocker.ID}).Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
 	m, _ := c.Metrics(ctx)
 	if m.QueueDepth != 0 {
