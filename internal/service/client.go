@@ -174,97 +174,17 @@ func (c *Client) TraceSpans(ctx context.Context, traceID string) (*TraceResponse
 	return &tr, nil
 }
 
-// viewTrace fetches one submission's assembled span tree.
-func (c *Client) viewTrace(ctx context.Context, kind, id string) (*TraceResponse, error) {
-	var tr TraceResponse
-	if err := c.do(ctx, http.MethodGet, "/"+kind+"/"+url.PathEscape(id)+"/trace", nil, &tr); err != nil {
-		return nil, err
-	}
-	return &tr, nil
-}
-
 // RunAsync submits a run and returns a handle immediately; the server
 // simulates in the background (or serves the result cache). Poll or Wait
 // the handle for results.
 func (c *Client) RunAsync(ctx context.Context, req RunRequest) (*RemoteRun, error) {
-	var st RunStatus
-	if err := c.do(ctx, http.MethodPost, "/runs", req, &st); err != nil {
-		return nil, err
-	}
-	return &RemoteRun{c: c, ID: st.ID, Submitted: &st}, nil
+	return submitView[RunStatus](ctx, c, req)
 }
 
 // Run submits and waits: the synchronous convenience over RunAsync. A
 // failed or cancelled run returns the final status alongside an error.
 func (c *Client) Run(ctx context.Context, req RunRequest) (*RunStatus, error) {
-	rr, err := c.RunAsync(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return rr.Wait(ctx)
-}
-
-// RemoteRun is a submitted run's handle.
-type RemoteRun struct {
-	c  *Client
-	ID string
-	// Submitted is the submission response — in particular its Cached and
-	// Coalesced flags, which later polls do not repeat.
-	Submitted *RunStatus
-}
-
-// Poll fetches the run's current status; completed cells carry results
-// while the rest are still simulating.
-func (r *RemoteRun) Poll(ctx context.Context) (*RunStatus, error) {
-	var st RunStatus
-	if err := r.c.do(ctx, http.MethodGet, "/runs/"+url.PathEscape(r.ID), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// Cancel asks the server to stop the run (in-flight cells finish; queued
-// cells are dropped).
-func (r *RemoteRun) Cancel(ctx context.Context) error {
-	return r.c.do(ctx, http.MethodDelete, "/runs/"+url.PathEscape(r.ID), nil, nil)
-}
-
-// Trace fetches the run's span tree, merged across cluster peers.
-func (r *RemoteRun) Trace(ctx context.Context) (*TraceResponse, error) {
-	return r.c.viewTrace(ctx, "runs", r.ID)
-}
-
-// Wait polls until the run reaches a terminal state. A failed or cancelled
-// run returns its final status alongside an error.
-func (r *RemoteRun) Wait(ctx context.Context) (*RunStatus, error) {
-	if r.Submitted != nil && Terminal(r.Submitted.Status) {
-		return r.finish(r.Submitted)
-	}
-	delay := 10 * time.Millisecond
-	for {
-		st, err := r.Poll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if Terminal(st.Status) {
-			return r.finish(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 500*time.Millisecond {
-			delay += delay / 2
-		}
-	}
-}
-
-func (r *RemoteRun) finish(st *RunStatus) (*RunStatus, error) {
-	if st.Status == StatusDone {
-		return st, nil
-	}
-	return st, fmt.Errorf("service: run %s %s: %s", st.ID, st.Status, st.Error)
+	return submitAndWait[RunStatus](ctx, c, req)
 }
 
 // SweepAsync submits a sweep and returns a handle immediately; the server
@@ -272,86 +192,13 @@ func (r *RemoteRun) finish(st *RunStatus) (*RunStatus, error) {
 // with the cache and any overlapping work in flight. Poll or Wait the
 // handle for per-cell results and the final summary.
 func (c *Client) SweepAsync(ctx context.Context, req SweepRequest) (*RemoteSweep, error) {
-	var st SweepStatus
-	if err := c.do(ctx, http.MethodPost, "/sweeps", req, &st); err != nil {
-		return nil, err
-	}
-	return &RemoteSweep{c: c, ID: st.ID, Submitted: &st}, nil
+	return submitView[SweepStatus](ctx, c, req)
 }
 
 // Sweep submits and waits: the synchronous convenience over SweepAsync. A
 // failed or cancelled sweep returns the final status alongside an error.
 func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepStatus, error) {
-	rs, err := c.SweepAsync(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Wait(ctx)
-}
-
-// RemoteSweep is a submitted sweep's handle.
-type RemoteSweep struct {
-	c  *Client
-	ID string
-	// Submitted is the submission response. Its CachedCells/
-	// CoalescedCells/NewCells accounting is a property of the submission
-	// and immutable, so later polls repeat the same values.
-	Submitted *SweepStatus
-}
-
-// Poll fetches the sweep's current status; completed cells carry results
-// while the rest are still simulating, and the summary rows appear once
-// the sweep is done.
-func (r *RemoteSweep) Poll(ctx context.Context) (*SweepStatus, error) {
-	var st SweepStatus
-	if err := r.c.do(ctx, http.MethodGet, "/sweeps/"+url.PathEscape(r.ID), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// Cancel asks the server to stop the sweep. Cells shared with other live
-// work keep simulating; cells only this sweep wanted are dropped.
-func (r *RemoteSweep) Cancel(ctx context.Context) error {
-	return r.c.do(ctx, http.MethodDelete, "/sweeps/"+url.PathEscape(r.ID), nil, nil)
-}
-
-// Trace fetches the sweep's span tree, merged across cluster peers.
-func (r *RemoteSweep) Trace(ctx context.Context) (*TraceResponse, error) {
-	return r.c.viewTrace(ctx, "sweeps", r.ID)
-}
-
-// Wait polls until the sweep reaches a terminal state. A failed or
-// cancelled sweep returns its final status alongside an error.
-func (r *RemoteSweep) Wait(ctx context.Context) (*SweepStatus, error) {
-	if r.Submitted != nil && Terminal(r.Submitted.Status) {
-		return r.finish(r.Submitted)
-	}
-	delay := 10 * time.Millisecond
-	for {
-		st, err := r.Poll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if Terminal(st.Status) {
-			return r.finish(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 500*time.Millisecond {
-			delay += delay / 2
-		}
-	}
-}
-
-func (r *RemoteSweep) finish(st *SweepStatus) (*SweepStatus, error) {
-	if st.Status == StatusDone {
-		return st, nil
-	}
-	return st, fmt.Errorf("service: sweep %s %s: %s", st.ID, st.Status, st.Error)
+	return submitAndWait[SweepStatus](ctx, c, req)
 }
 
 // ExploreAsync submits a design-space exploration and returns a handle
@@ -359,11 +206,7 @@ func (r *RemoteSweep) finish(st *SweepStatus) (*SweepStatus, error) {
 // attached to the shared content-addressed cell cache. Poll or Wait the
 // handle for partial cells and the assembled result.
 func (c *Client) ExploreAsync(ctx context.Context, space *explore.Space) (*RemoteExploration, error) {
-	var st ExploreStatus
-	if err := c.do(ctx, http.MethodPost, "/explorations", space, &st); err != nil {
-		return nil, err
-	}
-	return &RemoteExploration{c: c, ID: st.ID, Submitted: &st}, nil
+	return submitView[ExploreStatus](ctx, c, space)
 }
 
 // Explore submits and waits: the synchronous convenience over
@@ -371,50 +214,98 @@ func (c *Client) ExploreAsync(ctx context.Context, space *explore.Space) (*Remot
 // explore.Result — bit-identical to running the same space locally — or an
 // error for a failed or cancelled exploration.
 func (c *Client) Explore(ctx context.Context, space *explore.Space) (*ExploreStatus, error) {
-	re, err := c.ExploreAsync(ctx, space)
+	return submitAndWait[ExploreStatus](ctx, c, space)
+}
+
+// viewStatus constrains Remote's status type parameter: PS is a pointer to
+// one of the three wire status types, S.
+type viewStatus[S any] interface {
+	*S
+	wireStatus
+}
+
+// Remote is a submitted view's handle, generic over the view's wire
+// status: RemoteRun, RemoteSweep and RemoteExploration are its three
+// instances.
+type Remote[S any, PS viewStatus[S]] struct {
+	c  *Client
+	ID string
+	// Submitted is the submission response. A run's Cached and Coalesced
+	// flags are properties of the submission that later polls do not
+	// repeat; a sweep's cache accounting is immutable, so polls repeat it;
+	// an exploration's grows on later polls as its strategy attaches
+	// further batches.
+	Submitted PS
+}
+
+// RemoteRun is a submitted run's handle.
+type RemoteRun = Remote[RunStatus, *RunStatus]
+
+// RemoteSweep is a submitted sweep's handle.
+type RemoteSweep = Remote[SweepStatus, *SweepStatus]
+
+// RemoteExploration is a submitted exploration's handle.
+type RemoteExploration = Remote[ExploreStatus, *ExploreStatus]
+
+// submitView POSTs a submission to its kind's endpoint and wraps the
+// response in a handle.
+func submitView[S any, PS viewStatus[S]](ctx context.Context, c *Client, body any) (*Remote[S, PS], error) {
+	st := PS(new(S))
+	if err := c.do(ctx, http.MethodPost, "/"+st.kind().path, body, st); err != nil {
+		return nil, err
+	}
+	id, _, _ := st.head()
+	return &Remote[S, PS]{c: c, ID: id, Submitted: st}, nil
+}
+
+// submitAndWait is submitView followed by Wait.
+func submitAndWait[S any, PS viewStatus[S]](ctx context.Context, c *Client, body any) (PS, error) {
+	r, err := submitView[S, PS](ctx, c, body)
 	if err != nil {
 		return nil, err
 	}
-	return re.Wait(ctx)
+	return r.Wait(ctx)
 }
 
-// RemoteExploration is a submitted exploration's handle.
-type RemoteExploration struct {
-	c  *Client
-	ID string
-	// Submitted is the submission response; cache accounting grows on
-	// later polls as the strategy attaches further batches.
-	Submitted *ExploreStatus
+// path is the view's URL, under its kind's path segment.
+func (r *Remote[S, PS]) path() string {
+	return "/" + PS(nil).kind().path + "/" + url.PathEscape(r.ID)
 }
 
-// Poll fetches the exploration's current status: probed cells carry
-// results as they complete, and Result appears once the strategy drains.
-func (r *RemoteExploration) Poll(ctx context.Context) (*ExploreStatus, error) {
-	var st ExploreStatus
-	if err := r.c.do(ctx, http.MethodGet, "/explorations/"+url.PathEscape(r.ID), nil, &st); err != nil {
+// Poll fetches the view's current status: completed cells carry results
+// while the rest are still simulating; a sweep's summary rows and an
+// exploration's Result appear once it is done.
+func (r *Remote[S, PS]) Poll(ctx context.Context) (PS, error) {
+	st := PS(new(S))
+	if err := r.c.do(ctx, http.MethodGet, r.path(), nil, st); err != nil {
 		return nil, err
 	}
-	return &st, nil
+	return st, nil
 }
 
-// Cancel asks the server to stop the exploration. Cells shared with other
-// live work keep simulating; cells only this exploration wanted are
-// dropped.
-func (r *RemoteExploration) Cancel(ctx context.Context) error {
-	return r.c.do(ctx, http.MethodDelete, "/explorations/"+url.PathEscape(r.ID), nil, nil)
+// Cancel asks the server to stop the view. Cells shared with other live
+// work keep simulating; cells only this view wanted are dropped.
+func (r *Remote[S, PS]) Cancel(ctx context.Context) error {
+	return r.c.do(ctx, http.MethodDelete, r.path(), nil, nil)
 }
 
-// Trace fetches the exploration's span tree, merged across cluster peers
-// — a cross-node exploration renders as one tree.
-func (r *RemoteExploration) Trace(ctx context.Context) (*TraceResponse, error) {
-	return r.c.viewTrace(ctx, "explorations", r.ID)
+// Trace fetches the view's span tree, merged across cluster peers — a
+// cross-node view renders as one tree.
+func (r *Remote[S, PS]) Trace(ctx context.Context) (*TraceResponse, error) {
+	var tr TraceResponse
+	if err := r.c.do(ctx, http.MethodGet, r.path()+"/trace", nil, &tr); err != nil {
+		return nil, err
+	}
+	return &tr, nil
 }
 
-// Wait polls until the exploration reaches a terminal state. A failed or
-// cancelled exploration returns its final status alongside an error.
-func (r *RemoteExploration) Wait(ctx context.Context) (*ExploreStatus, error) {
-	if r.Submitted != nil && Terminal(r.Submitted.Status) {
-		return r.finish(r.Submitted)
+// Wait polls until the view reaches a terminal state. A failed or
+// cancelled view returns its final status alongside an error.
+func (r *Remote[S, PS]) Wait(ctx context.Context) (PS, error) {
+	if r.Submitted != nil {
+		if _, status, _ := r.Submitted.head(); Terminal(status) {
+			return r.finish(r.Submitted)
+		}
 	}
 	delay := 10 * time.Millisecond
 	for {
@@ -422,7 +313,7 @@ func (r *RemoteExploration) Wait(ctx context.Context) (*ExploreStatus, error) {
 		if err != nil {
 			return nil, err
 		}
-		if Terminal(st.Status) {
+		if _, status, _ := st.head(); Terminal(status) {
 			return r.finish(st)
 		}
 		select {
@@ -436,9 +327,10 @@ func (r *RemoteExploration) Wait(ctx context.Context) (*ExploreStatus, error) {
 	}
 }
 
-func (r *RemoteExploration) finish(st *ExploreStatus) (*ExploreStatus, error) {
-	if st.Status == StatusDone {
+func (r *Remote[S, PS]) finish(st PS) (PS, error) {
+	id, status, msg := st.head()
+	if status == StatusDone {
 		return st, nil
 	}
-	return st, fmt.Errorf("service: exploration %s %s: %s", st.ID, st.Status, st.Error)
+	return st, fmt.Errorf("service: %s %s %s: %s", st.kind().name, id, status, msg)
 }

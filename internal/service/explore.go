@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 
 	"react/internal/explore"
 	"react/internal/obs"
@@ -39,7 +37,7 @@ func (s *Server) submitExplore(sp *explore.Space, parent obs.SpanContext) (*Expl
 	s.explorations.Add(1)
 
 	s.mu.Lock()
-	v := s.newViewLocked("exploration", "x", plan.Base, scenario.RunOptions{}, parent)
+	v := s.newViewLocked(exploreKind, plan.Base, scenario.RunOptions{}, parent)
 	v.plan = plan
 	v.seeds = plan.Seeds
 	vctx, cancel := context.WithCancel(s.ctx)
@@ -53,11 +51,13 @@ func (s *Server) submitExplore(sp *explore.Space, parent obs.SpanContext) (*Expl
 		defer cancel()
 		res, err := plan.Run(vctx, s.exploreEvaluator(v, vctx))
 		s.mu.Lock()
+		v.mu.Lock()
 		v.expResult, v.expErr = res, err
+		v.mu.Unlock()
 		s.finalizeLocked(v)
 		s.mu.Unlock()
 	}()
-	return s.exploreStatus(v), nil
+	return exploreStatus(v), nil
 }
 
 // exploreEvaluator adapts the shared cell cache into the exploration
@@ -77,9 +77,8 @@ func (s *Server) exploreEvaluator(v *view, vctx context.Context) explore.Evaluat
 		attached := make([]*cell, len(cells))
 		points := map[int]bool{}
 		for i, ec := range cells {
-			key := cellKey{Seed: ec.Seed, DT: resolveDT(ec.Spec, ec.Opt.DT), Buffer: ec.Spec.Buffers[0].DisplayName()}
-			attached[i] = s.addCell(v, ec.Spec, 0, ec.Opt, key)
-			v.points = append(v.points, ec.Point)
+			key := cellKey{Seed: ec.Seed, DT: ec.Spec.ResolveDT(ec.Opt.DT), Buffer: ec.Spec.Buffers[0].DisplayName()}
+			attached[i] = s.addCell(v, ec.Spec, 0, ec.Opt, key, ec.Point)
 			points[ec.Point] = true
 		}
 		s.exploreCells.Add(uint64(len(cells)))
@@ -106,102 +105,44 @@ func (s *Server) exploreEvaluator(v *view, vctx context.Context) explore.Evaluat
 	}
 }
 
-// exploreStatus snapshots an exploration view into its wire shape. Cell
-// slices grow while the strategy probes, so the snapshot is taken under
-// the server lock.
-func (s *Server) exploreStatus(v *view) *ExploreStatus {
-	s.mu.Lock()
-	ncells := len(v.cells)
-	cells := make([]ExploreCellStatus, ncells)
-	doneBy := map[int]int{}
-	for i := 0; i < ncells; i++ {
-		cs := cellStatus(v.cells[i])
-		cells[i] = ExploreCellStatus{
-			Point:  v.points[i],
-			Buffer: v.keys[i].Buffer,
-			Seed:   v.keys[i].Seed,
-			DT:     v.keys[i].DT,
-			Done:   cs.Done,
-			Error:  cs.Error,
-			Result: cs.Result,
-		}
-		if cs.Done && cs.Error == "" {
-			doneBy[v.points[i]]++
-		}
-	}
-	res := v.expResult
-	plan := v.plan
-	// The status is published under both locks (finalizeLocked holds
-	// Server.mu and then view.mu), so reading it here — still inside the
-	// Server.mu section — keeps it consistent with the result snapshot.
-	v.mu.Lock()
+// exploreStatus translates an exploration view into its wire shape. The
+// cell slots grow while the strategy probes; the snapshot takes whatever
+// has been attached so far.
+func exploreStatus(v *view) *ExploreStatus {
+	sn := v.snapshot()
 	st := &ExploreStatus{
 		ID:             v.id,
-		Scenario:       plan.Base.Name,
-		Strategy:       plan.Strategy,
+		Scenario:       v.plan.Base.Name,
+		Strategy:       v.plan.Strategy,
 		TraceID:        v.tctx.TraceID.String(),
-		Status:         v.status,
-		Error:          v.errMsg,
+		Status:         sn.status,
+		Error:          sn.errMsg,
 		Created:        v.created,
-		Progress:       progressOf(v.cells),
-		Seeds:          plan.Seeds,
-		TotalPoints:    len(plan.Points),
-		CachedCells:    v.cachedCells,
-		CoalescedCells: v.coalescedCells,
-		NewCells:       v.newCells,
-		Cells:          cells,
+		Finished:       sn.finishedAt(),
+		Progress:       progressOf(sn.cells),
+		Seeds:          v.plan.Seeds,
+		TotalPoints:    len(v.plan.Points),
+		CachedCells:    sn.cachedCells,
+		CoalescedCells: sn.coalescedCells,
+		NewCells:       sn.newCells,
+		Cells:          make([]ExploreCellStatus, len(sn.cells)),
 	}
-	if Terminal(v.status) {
-		f := v.finished
-		st.Finished = &f
+	doneBy := map[int]int{}
+	for i, c := range sn.cells {
+		cs := cellStatus(c)
+		k, p := sn.keys[i], sn.points[i]
+		st.Cells[i] = ExploreCellStatus{Point: p, Buffer: k.Buffer, Seed: k.Seed, DT: k.DT, Done: cs.Done, Error: cs.Error, Result: cs.Result}
+		if cs.Done && cs.Error == "" {
+			doneBy[p]++
+		}
 	}
-	v.mu.Unlock()
-	s.mu.Unlock()
-
 	for _, n := range doneBy {
 		if n == len(st.Seeds) {
 			st.EvaluatedPoints++
 		}
 	}
 	if st.Status == StatusDone {
-		st.Result = res
+		st.Result = sn.expResult
 	}
 	return st
-}
-
-// --- HTTP handlers ---
-
-func (s *Server) handleExploreSubmit(w http.ResponseWriter, req *http.Request) {
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	var sp explore.Space
-	if err := dec.Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding exploration space: %v", err)
-		return
-	}
-	st, err := s.submitExplore(&sp, parentSpan(req))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	code := http.StatusAccepted
-	if Terminal(st.Status) {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-func (s *Server) handleExplore(w http.ResponseWriter, req *http.Request) {
-	if v := s.lookupView(w, req, "exploration"); v != nil {
-		writeJSON(w, http.StatusOK, s.exploreStatus(v))
-	}
-}
-
-func (s *Server) handleExploreDelete(w http.ResponseWriter, req *http.Request) {
-	v := s.lookupView(w, req, "exploration")
-	if v == nil {
-		return
-	}
-	s.deleteView(v)
-	writeJSON(w, http.StatusOK, s.exploreStatus(v))
 }

@@ -3,27 +3,31 @@
 // with a content-addressed, single-flight result cache.
 //
 // The cache operates at cell granularity — one buffer of one spec under
-// resolved seed/timestep options (scenario.Spec.FingerprintCell). Runs and
-// sweeps are views assembled from shared cell entries: a repeat of a
-// completed cell is served in O(1), concurrent submissions that overlap on
-// any cell attach to the one in-flight simulation instead of duplicating
-// it, and a run submitted while a sweep covering its cells is in flight
-// coalesces per cell. Work executes asynchronously — a submit returns an
+// resolved seed/timestep options (scenario.Spec.FingerprintCell). Runs,
+// sweeps and explorations are views assembled from shared cell entries,
+// through one lifecycle (attach, progress, trace, finalize, release): a
+// repeat of a completed cell is served in O(1), concurrent submissions
+// that overlap on any cell attach to the one in-flight simulation instead
+// of duplicating it, and a run submitted while a sweep covering its cells
+// is in flight coalesces per cell. Work executes asynchronously — a submit returns an
 // id immediately, fresh cells fan out over a bounded global semaphore, and
 // partial results are visible while a view drains.
 //
 // Endpoints:
 //
-//	GET    /scenarios    registry listing with fingerprints
-//	POST   /runs         submit a run (named scenario or inline spec)
-//	GET    /runs/{id}    poll status and (partial) results
-//	DELETE /runs/{id}    cancel an in-flight run / forget a finished one
-//	POST   /sweeps       submit a sweep: spec × seed list/range × dt axis × buffer subset
-//	GET    /sweeps/{id}  poll per-cell results and the per-axis summary
-//	DELETE /sweeps/{id}  cancel an in-flight sweep / forget a finished one
-//	GET    /metrics      Prometheus text exposition (JSON via Accept: application/json)
-//	GET    /metrics.json the JSON metrics report, unconditionally
-//	GET    /traces/{id}  this node's raw spans for a trace id (peer merge primitive)
+//	GET    /scenarios         registry listing with fingerprints
+//	POST   /runs              submit a run (named scenario or inline spec)
+//	GET    /runs/{id}         poll status and (partial) results
+//	DELETE /runs/{id}         cancel an in-flight run / forget a finished one
+//	POST   /sweeps            submit a sweep: spec × seed list/range × dt axis × buffer subset
+//	GET    /sweeps/{id}       poll per-cell results and the per-axis summary
+//	DELETE /sweeps/{id}       cancel an in-flight sweep / forget a finished one
+//	POST   /explorations      submit a design-space exploration (explore.Space)
+//	GET    /explorations/{id} poll probed cells and, once drained, the result
+//	DELETE /explorations/{id} cancel an in-flight exploration / forget a finished one
+//	GET    /metrics           Prometheus text exposition (JSON via Accept: application/json)
+//	GET    /metrics.json      the JSON metrics report, unconditionally
+//	GET    /traces/{id}       this node's raw spans for a trace id (peer merge primitive)
 //
 // plus a trace view per submission kind — GET /runs/{id}/trace,
 // /sweeps/{id}/trace, /explorations/{id}/trace — assembling the submission's
@@ -46,6 +50,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,8 +64,8 @@ import (
 	"react/internal/store"
 )
 
-// DefaultCacheRuns bounds the finished run/sweep views kept for reuse when
-// Config.CacheRuns is zero.
+// DefaultCacheRuns bounds the finished views (runs, sweeps and
+// explorations share one LRU) kept for reuse when Config.CacheRuns is zero.
 const DefaultCacheRuns = 64
 
 // DefaultCacheCells bounds the finished cells kept for content-addressed
@@ -73,9 +78,10 @@ type Config struct {
 	// Workers bounds concurrently simulating cells across all runs and
 	// sweeps (0 = GOMAXPROCS).
 	Workers int
-	// CacheRuns bounds the finished run/sweep views kept for polling and
-	// whole-run deduplication (0 = DefaultCacheRuns). In-flight views are
-	// never evicted. Evicting a view does not evict its cells.
+	// CacheRuns bounds the finished views — runs, sweeps and explorations
+	// alike — kept for polling and whole-run deduplication
+	// (0 = DefaultCacheRuns). In-flight views are never evicted. Evicting a
+	// view does not evict its cells.
 	CacheRuns int
 	// CacheCells bounds the finished cells kept for content-addressed
 	// reuse (0 = DefaultCacheCells). In-flight cells are never evicted.
@@ -156,7 +162,7 @@ type Server struct {
 	// refcount field. Lock order: mu before view.mu.
 	mu      sync.Mutex
 	seq     int
-	views   map[string]*view // every tracked run and sweep, by id
+	views   map[string]*view // every tracked view, by id
 	byFP    map[string]*view // whole-run single-flight index: running or done runs
 	cells   map[string]*cell // cell single-flight index: running or cached cells
 	cellLRU *list.List       // cached done cells, most recently used first
@@ -244,17 +250,28 @@ type cellKey struct {
 	Buffer string  // display name
 }
 
+// viewKind is one URL family of views: its wire name, its path segment,
+// its id prefix, and the translator from a view into its wire status.
+type viewKind struct {
+	name, path, prefix string
+	status             func(*view) wireStatus
+}
+
+var (
+	runKind     = &viewKind{"run", "runs", "r", func(v *view) wireStatus { return runStatus(v) }}
+	sweepKind   = &viewKind{"sweep", "sweeps", "s", func(v *view) wireStatus { return sweepStatus(v) }}
+	exploreKind = &viewKind{"exploration", "explorations", "x", func(v *view) wireStatus { return exploreStatus(v) }}
+)
+
 // view is one tracked submission — a run, a sweep, or an exploration —
 // assembled from shared cells.
 type view struct {
 	id      string
-	kind    string // "run", "sweep" or "exploration"
-	fp      string // whole-run fingerprint; "" for sweeps and uncacheable specs
+	kind    *viewKind
+	fp      string // whole-run fingerprint; "" for sweeps, explorations and uncacheable specs
 	spec    *scenario.Spec
 	opt     scenario.RunOptions
 	created time.Time
-	cells   []*cell
-	keys    []cellKey // index-parallel to cells
 
 	// noFwd pins the view's fresh cells to this node in cluster mode;
 	// set on peer-forwarded submissions.
@@ -266,26 +283,17 @@ type view struct {
 	tctx obs.SpanContext
 	root *obs.ActiveSpan
 
-	// Sweep axes, resolved at submission.
+	// The lattice axes of a run or sweep, resolved at submission (a run
+	// is one seed and one timestep over every buffer); an exploration's
+	// seed axis.
 	seeds   []uint64
 	dts     []float64
 	buffers []string
 
-	// Exploration state: the resolved plan, the engine's per-view cancel,
-	// each cell's point index (parallel to cells), and — once the engine
-	// drains — its result or error. An exploration attaches cells batch by
-	// batch as its strategy probes the lattice, so cells/keys/points and
-	// the cache accounting below GROW over the view's lifetime; all of it
-	// is guarded by Server.mu.
-	plan      *explore.Plan
-	vcancel   context.CancelFunc
-	points    []int
-	expResult *explore.Result
-	expErr    error
-
-	// Submission-time cache accounting (immutable after creation for runs
-	// and sweeps; grows under Server.mu for explorations).
-	cachedCells, coalescedCells, newCells int
+	// Exploration state: the resolved plan and the engine's per-view
+	// cancel.
+	plan    *explore.Plan
+	vcancel context.CancelFunc
 
 	elem *list.Element // slot in home once terminal
 	home *list.List    // the viewLRU (done) or junk (failed/cancelled) list
@@ -295,11 +303,28 @@ type view struct {
 	// not to the view's own mutex below.
 	detached bool
 
-	mu       sync.Mutex
-	status   string
+	mu       sync.Mutex // guards canceled and viewState
 	canceled bool
+	viewState
+}
+
+// viewState is the part of a view a status reports, guarded by view.mu.
+// The cell slots and their cache accounting are appended with Server.mu
+// held as well — an exploration attaches batch by batch, so they grow
+// over its lifetime — which lets a status snapshot take view.mu alone,
+// and lets holders of Server.mu (release, finalize, forget) read them
+// without it.
+type viewState struct {
+	status   string
 	errMsg   string
 	finished time.Time
+	cells    []*cell
+	keys     []cellKey // index-parallel to cells
+	points   []int     // exploration point of each cell
+	// The drained exploration engine's result or error.
+	expResult                             *explore.Result
+	expErr                                error
+	cachedCells, coalescedCells, newCells int
 }
 
 // New builds a ready-to-serve Server. It fails only on an invalid cluster
@@ -350,18 +375,14 @@ func New(cfg Config) (*Server, error) {
 	s.initObs()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /scenarios", s.handleScenarios)
-	mux.HandleFunc("POST /runs", s.handleSubmit)
-	mux.HandleFunc("GET /runs/{id}", s.handleRun)
-	mux.HandleFunc("GET /runs/{id}/trace", s.handleViewTrace("run"))
-	mux.HandleFunc("DELETE /runs/{id}", s.handleDelete)
-	mux.HandleFunc("POST /sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /sweeps/{id}", s.handleSweep)
-	mux.HandleFunc("GET /sweeps/{id}/trace", s.handleViewTrace("sweep"))
-	mux.HandleFunc("DELETE /sweeps/{id}", s.handleSweepDelete)
-	mux.HandleFunc("POST /explorations", s.handleExploreSubmit)
-	mux.HandleFunc("GET /explorations/{id}", s.handleExplore)
-	mux.HandleFunc("GET /explorations/{id}/trace", s.handleViewTrace("exploration"))
-	mux.HandleFunc("DELETE /explorations/{id}", s.handleExploreDelete)
+	mux.HandleFunc("POST /runs", handlePost("run request", s.postRun))
+	mux.HandleFunc("POST /sweeps", handlePost("sweep request", s.postSweep))
+	mux.HandleFunc("POST /explorations", handlePost("exploration space", s.submitExplore))
+	for _, k := range []*viewKind{runKind, sweepKind, exploreKind} {
+		mux.HandleFunc("GET /"+k.path+"/{id}", s.handleGet(k))
+		mux.HandleFunc("GET /"+k.path+"/{id}/trace", s.handleViewTrace(k))
+		mux.HandleFunc("DELETE /"+k.path+"/{id}", s.handleDelete(k))
+	}
 	mux.HandleFunc("GET /traces/{id}", s.handleTraceRaw)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
@@ -864,28 +885,34 @@ func (s *Server) releaseCellsLocked(v *view) {
 // carried a traceparent (a client propagating its own trace, or a peer
 // forwarding cells — either way the view's spans join the caller's trace).
 // Called with s.mu held.
-func (s *Server) newViewLocked(kind, prefix string, spec *scenario.Spec, opt scenario.RunOptions, parent obs.SpanContext) *view {
+func (s *Server) newViewLocked(kind *viewKind, spec *scenario.Spec, opt scenario.RunOptions, parent obs.SpanContext) *view {
 	s.seq++
 	v := &view{
-		id:      fmt.Sprintf("%s%06d", prefix, s.seq),
+		id:      fmt.Sprintf("%s%06d", kind.prefix, s.seq),
 		kind:    kind,
 		spec:    spec,
 		opt:     opt,
 		created: time.Now(),
-		status:  StatusRunning,
 	}
-	v.root = s.spans.Start(parent, kind, s.node, map[string]string{"scenario": spec.Name})
+	v.status = StatusRunning
+	v.root = s.spans.Start(parent, kind.name, s.node, map[string]string{"scenario": spec.Name})
 	v.root.SetAttr("id", v.id)
 	v.tctx = v.root.Context()
 	return v
 }
 
 // addCell attaches one cell to the view and keeps the submission-time
-// cache accounting, returning the shared cell. Called with s.mu held.
-func (s *Server) addCell(v *view, spec *scenario.Spec, i int, opt scenario.RunOptions, key cellKey) *cell {
+// cache accounting, returning the shared cell. point is the cell's
+// exploration point (ignored for runs and sweeps). Called with s.mu held.
+func (s *Server) addCell(v *view, spec *scenario.Spec, i int, opt scenario.RunOptions, key cellKey, point int) *cell {
 	c, state := s.attachCellLocked(spec, i, opt, v.noFwd, v.tctx)
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	v.cells = append(v.cells, c)
 	v.keys = append(v.keys, key)
+	if v.kind == exploreKind {
+		v.points = append(v.points, point)
+	}
 	switch state {
 	case cellCached:
 		v.cachedCells++
@@ -934,7 +961,7 @@ func (s *Server) finalizeLocked(v *view) {
 	s.releaseCellsLocked(v)
 	v.mu.Lock()
 	status, errMsg := StatusDone, ""
-	if v.kind == "exploration" {
+	if v.kind == exploreKind {
 		// An exploration's outcome is the engine's, not the cells': bisect
 		// legitimately leaves lattice points unevaluated, and a shared cell
 		// failing surfaces as the engine error.
@@ -1022,14 +1049,7 @@ func (s *Server) forgetView(v *view) {
 	}
 }
 
-// getStatus snapshots a view's status under its own lock.
-func (v *view) getStatus() string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.status
-}
-
-// --- run submission ---
+// --- run and sweep submission ---
 
 // Submit resolves, deduplicates and (if needed) launches a run, returning
 // its submission view. It is the Go-level core of POST /runs.
@@ -1048,36 +1068,32 @@ func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool
 	fp, _ := spec.FingerprintRun(opt)
 
 	s.mu.Lock()
-	if fp != "" {
-		if v := s.byFP[fp]; v != nil {
-			status := v.getStatus()
-			if status == StatusDone {
+	if v := s.byFP[fp]; fp != "" && v != nil {
+		// A failed or cancelled run should have left the index; anything
+		// but done or running falls through and replaces it.
+		if status := v.snapshot().status; status == StatusDone || status == StatusRunning {
+			done := status == StatusDone
+			if done {
 				s.hits.Add(1)
 				s.viewLRU.MoveToFront(v.elem)
-				s.mu.Unlock()
-				st := s.runStatus(v)
-				st.Cached = true
-				return st
-			}
-			if status == StatusRunning {
+			} else {
 				s.coalesced.Add(1)
-				s.mu.Unlock()
-				st := s.runStatus(v)
-				st.Coalesced = true
-				return st
 			}
-			// A failed or cancelled run should have left the index; fall
-			// through and replace it.
+			s.mu.Unlock()
+			st := runStatus(v)
+			st.Cached, st.Coalesced = done, !done
+			return st
 		}
 	}
-	v := s.newViewLocked("run", "r", spec, opt, parent)
+	// A run is the one-seed, one-timestep lattice over every buffer.
+	ax := SweepAxes{Seeds: []uint64{spec.ResolveSeed(opt.Seed)}, DTs: []float64{spec.ResolveDT(opt.DT)}}
+	for i := range spec.Buffers {
+		ax.Buffers = append(ax.Buffers, i)
+	}
+	v := s.newViewLocked(runKind, spec, opt, parent)
 	v.fp = fp
 	v.noFwd = noFwd
-	seed := ResolveSeed(spec, opt.Seed)
-	for i := range spec.Buffers {
-		s.addCell(v, spec, i, opt, cellKey{Seed: seed, DT: resolveDT(spec, opt.DT), Buffer: spec.Buffers[i].DisplayName()})
-	}
-	s.flushPendingLocked()
+	s.attachLatticeLocked(v, ax)
 	// The submission's cache disposition: a run with no fresh cells was
 	// served entirely from shared cells — from the cache when nothing is
 	// in flight, coalesced otherwise.
@@ -1092,15 +1108,13 @@ func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool
 	if fp != "" {
 		s.byFP[fp] = v
 	}
+	cached, coalesced := v.newCells == 0 && v.coalescedCells == 0, v.newCells == 0 && v.coalescedCells > 0
 	s.trackLocked(v)
 	s.mu.Unlock()
-	st := s.runStatus(v)
-	st.Cached = v.newCells == 0 && v.coalescedCells == 0
-	st.Coalesced = v.newCells == 0 && v.coalescedCells > 0
+	st := runStatus(v)
+	st.Cached, st.Coalesced = cached, coalesced
 	return st
 }
-
-// --- sweep submission ---
 
 // SweepAxes is a sweep's resolved parameter grid: the cross product of
 // seeds × timesteps × a buffer subset of one spec.
@@ -1129,22 +1143,14 @@ func ResolveSweepAxes(spec *scenario.Spec, req *SweepRequest) (SweepAxes, error)
 		return ax, fmt.Errorf("sweep: %w", err)
 	}
 	if len(req.Buffers) > 0 {
-		seenBuf := map[int]bool{}
 		for _, name := range req.Buffers {
-			idx := -1
-			for i, bs := range spec.Buffers {
-				if bs.DisplayName() == name {
-					idx = i
-					break
-				}
-			}
+			idx := slices.IndexFunc(spec.Buffers, func(bs scenario.BufferSpec) bool { return bs.DisplayName() == name })
 			if idx < 0 {
 				return ax, fmt.Errorf("sweep: spec has no buffer %q", name)
 			}
-			if seenBuf[idx] {
+			if slices.Contains(ax.Buffers, idx) {
 				return ax, fmt.Errorf("sweep: duplicate buffer %q", name)
 			}
-			seenBuf[idx] = true
 			ax.Buffers = append(ax.Buffers, idx)
 		}
 	} else {
@@ -1160,9 +1166,7 @@ func ResolveSweepAxes(spec *scenario.Spec, req *SweepRequest) (SweepAxes, error)
 }
 
 // SubmitSweep launches a sweep over the resolved axes, returning its
-// submission view. Cells are attached buffer-major, then by timestep, then
-// by seed, so each (buffer, dt) group's seeds are contiguous and in order.
-// It is the Go-level core of POST /sweeps.
+// submission view. It is the Go-level core of POST /sweeps.
 func (s *Server) SubmitSweep(spec *scenario.Spec, ax SweepAxes) *SweepStatus {
 	return s.submitSweep(spec, ax, obs.SpanContext{})
 }
@@ -1171,41 +1175,51 @@ func (s *Server) SubmitSweep(spec *scenario.Spec, ax SweepAxes) *SweepStatus {
 func (s *Server) submitSweep(spec *scenario.Spec, ax SweepAxes, parent obs.SpanContext) *SweepStatus {
 	s.sweeps.Add(1)
 	s.mu.Lock()
-	v := s.newViewLocked("sweep", "s", spec, scenario.RunOptions{}, parent)
-	v.seeds = ax.Seeds
-	v.dts = ax.DTs
+	v := s.newViewLocked(sweepKind, spec, scenario.RunOptions{}, parent)
+	s.attachLatticeLocked(v, ax)
+	s.trackLocked(v)
+	s.mu.Unlock()
+	return sweepStatus(v)
+}
+
+// attachLatticeLocked attaches a run's or sweep's cells and schedules the
+// fresh ones. Cells are attached buffer-major, then by timestep, then by
+// seed, so each (buffer, dt) group's seeds are contiguous and in order —
+// the layout the sweep summary reads. Called with s.mu held.
+func (s *Server) attachLatticeLocked(v *view, ax SweepAxes) {
+	v.seeds, v.dts = ax.Seeds, ax.DTs
 	for _, bi := range ax.Buffers {
-		v.buffers = append(v.buffers, spec.Buffers[bi].DisplayName())
-	}
-	for _, bi := range ax.Buffers {
-		name := spec.Buffers[bi].DisplayName()
+		name := v.spec.Buffers[bi].DisplayName()
+		v.buffers = append(v.buffers, name)
 		for _, dt := range ax.DTs {
 			for _, seed := range ax.Seeds {
-				opt := scenario.RunOptions{Seed: seed, DT: dt}
-				s.addCell(v, spec, bi, opt, cellKey{Seed: seed, DT: dt, Buffer: name})
+				opt := scenario.RunOptions{Seed: seed, DT: dt, RecordDT: v.opt.RecordDT}
+				s.addCell(v, v.spec, bi, opt, cellKey{Seed: seed, DT: dt, Buffer: name}, 0)
 			}
 		}
 	}
 	s.flushPendingLocked()
-	s.trackLocked(v)
-	s.mu.Unlock()
-	return s.sweepStatus(v)
-}
-
-// ResolveSeed resolves the effective seed of a spec under an override:
-// 0 means the spec's seed, which itself defaults to 1 (the scenario
-// layer's rule, shared via Spec.ResolveSeed).
-func ResolveSeed(spec *scenario.Spec, seed uint64) uint64 {
-	return spec.ResolveSeed(seed)
-}
-
-// resolveDT resolves the effective timestep of a spec under an override,
-// mirroring the engine's defaults (0 → the spec's → 1 ms).
-func resolveDT(spec *scenario.Spec, dt float64) float64 {
-	return spec.ResolveDT(dt)
 }
 
 // --- wire snapshots ---
+
+// snapshot copies the view's state: one consistent header, and cell
+// slices whose first len entries never change — appends never rewrite a
+// written slot — so the wire translators read them without a lock.
+func (v *view) snapshot() viewState {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.viewState
+}
+
+// finishedAt is the wire Finished time: set once the view is terminal.
+func (vs *viewState) finishedAt() *time.Time {
+	if !Terminal(vs.status) {
+		return nil
+	}
+	f := vs.finished
+	return &f
+}
 
 // cellStatus snapshots one shared cell into its wire shape.
 func cellStatus(c *cell) CellStatus {
@@ -1235,80 +1249,66 @@ func progressOf(cells []*cell) Progress {
 	return p
 }
 
-// runStatus snapshots a run view into its wire shape.
-func (s *Server) runStatus(v *view) *RunStatus {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+// runStatus translates a run view into its wire shape.
+func runStatus(v *view) *RunStatus {
+	sn := v.snapshot()
 	st := &RunStatus{
 		ID:          v.id,
 		Scenario:    v.spec.Name,
-		Seed:        ResolveSeed(v.spec, v.opt.Seed),
+		Seed:        v.seeds[0],
 		Fingerprint: v.fp,
 		TraceID:     v.tctx.TraceID.String(),
-		Status:      v.status,
-		Error:       v.errMsg,
+		Status:      sn.status,
+		Error:       sn.errMsg,
 		Created:     v.created,
-		Progress:    progressOf(v.cells),
-		Cells:       make([]CellStatus, len(v.cells)),
+		Finished:    sn.finishedAt(),
+		Progress:    progressOf(sn.cells),
+		Cells:       make([]CellStatus, len(sn.cells)),
 	}
-	if Terminal(v.status) {
-		f := v.finished
-		st.Finished = &f
-	}
-	for i, c := range v.cells {
+	for i, c := range sn.cells {
 		st.Cells[i] = cellStatus(c)
 	}
 	return st
 }
 
-// sweepStatus snapshots a sweep view into its wire shape, including the
+// sweepStatus translates a sweep view into its wire shape, including the
 // per-(buffer, dt) across-seed summary once the sweep is done.
-func (s *Server) sweepStatus(v *view) *SweepStatus {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+func sweepStatus(v *view) *SweepStatus {
+	sn := v.snapshot()
 	st := &SweepStatus{
 		ID:             v.id,
 		Scenario:       v.spec.Name,
 		TraceID:        v.tctx.TraceID.String(),
-		Status:         v.status,
-		Error:          v.errMsg,
+		Status:         sn.status,
+		Error:          sn.errMsg,
 		Created:        v.created,
-		Progress:       progressOf(v.cells),
+		Finished:       sn.finishedAt(),
+		Progress:       progressOf(sn.cells),
 		Seeds:          v.seeds,
 		DTs:            v.dts,
 		Buffers:        v.buffers,
-		CachedCells:    v.cachedCells,
-		CoalescedCells: v.coalescedCells,
-		NewCells:       v.newCells,
-		Cells:          make([]SweepCellStatus, len(v.cells)),
+		CachedCells:    sn.cachedCells,
+		CoalescedCells: sn.coalescedCells,
+		NewCells:       sn.newCells,
+		Cells:          make([]SweepCellStatus, len(sn.cells)),
 	}
-	if Terminal(v.status) {
-		f := v.finished
-		st.Finished = &f
-	}
-	for i, c := range v.cells {
+	for i, c := range sn.cells {
 		cs := cellStatus(c)
-		st.Cells[i] = SweepCellStatus{
-			Buffer: v.keys[i].Buffer,
-			Seed:   v.keys[i].Seed,
-			DT:     v.keys[i].DT,
-			Done:   cs.Done,
-			Error:  cs.Error,
-			Result: cs.Result,
-		}
+		k := sn.keys[i]
+		st.Cells[i] = SweepCellStatus{Buffer: k.Buffer, Seed: k.Seed, DT: k.DT, Done: cs.Done, Error: cs.Error, Result: cs.Result}
 	}
-	if v.status == StatusDone {
+	if sn.status == StatusDone {
 		// Cells are buffer-major then dt then seed: each summary group's
 		// results are contiguous and already in seed order.
 		n := len(v.seeds)
-		for g := 0; g+n <= len(v.cells); g += n {
+		for g := 0; g+n <= len(sn.cells); g += n {
 			results := make([]sim.Result, n)
 			for j := 0; j < n; j++ {
-				results[j] = v.cells[g+j].res
+				results[j] = sn.cells[g+j].res
 			}
 			st.Summary = append(st.Summary, SweepSummary{
-				Buffer:      v.keys[g].Buffer,
-				DT:          v.keys[g].DT,
+				Buffer:      sn.keys[g].Buffer,
+				DT:          sn.keys[g].DT,
 				SeedSummary: scenario.AggregateSeeds(results),
 			})
 		}
@@ -1419,155 +1419,141 @@ func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// errUnknownScenario marks a submission naming no registered scenario:
+// the one refusal answered 404 rather than 400.
+var errUnknownScenario = errors.New("unknown scenario")
+
 // resolveSpec resolves a submission's scenario selection — a registry name
-// or an inline spec, exactly one — writing the HTTP error itself on
-// failure (nil return).
-func (s *Server) resolveSpec(w http.ResponseWriter, name string, inline json.RawMessage) *scenario.Spec {
+// or an inline spec, exactly one.
+func resolveSpec(name string, inline json.RawMessage) (*scenario.Spec, error) {
 	switch {
 	case name != "" && len(inline) > 0:
-		writeError(w, http.StatusBadRequest, "set either scenario or spec, not both")
-		return nil
+		return nil, errors.New("set either scenario or spec, not both")
 	case name != "":
 		spec, ok := scenario.Lookup(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown scenario %q (GET /scenarios lists the registry)", name)
-			return nil
+			return nil, fmt.Errorf("%w %q (GET /scenarios lists the registry)", errUnknownScenario, name)
 		}
-		return spec
+		return spec, nil
 	case len(inline) > 0:
-		spec, err := scenario.ParseSpec(inline)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return nil
-		}
-		return spec
+		return scenario.ParseSpec(inline)
 	default:
-		writeError(w, http.StatusBadRequest, "a submission needs a scenario name or an inline spec")
-		return nil
+		return nil, errors.New("a submission needs a scenario name or an inline spec")
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var rr RunRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rr); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding run request: %v", err)
-		return
+// handlePost serves one submission endpoint: it decodes the body into a
+// fresh R (unknown fields rejected), submits it, and answers 200 when the
+// view is already terminal (a pure cache hit) and 202 while it drains.
+func handlePost[R any, ST wireStatus](what string, submit func(*R, obs.SpanContext) (ST, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		var r R
+		dec := json.NewDecoder(req.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&r); err != nil {
+			writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+			return
+		}
+		st, err := submit(&r, parentSpan(req))
+		if err != nil {
+			code := http.StatusBadRequest
+			if errors.Is(err, errUnknownScenario) {
+				code = http.StatusNotFound
+			}
+			writeError(w, code, "%v", err)
+			return
+		}
+		code := http.StatusAccepted
+		if _, status, _ := st.head(); Terminal(status) {
+			code = http.StatusOK
+		}
+		writeJSON(w, code, st)
 	}
-	spec := s.resolveSpec(w, rr.Scenario, rr.Spec)
-	if spec == nil {
-		return
+}
+
+func (s *Server) postRun(rr *RunRequest, parent obs.SpanContext) (*RunStatus, error) {
+	spec, err := resolveSpec(rr.Scenario, rr.Spec)
+	if err != nil {
+		return nil, err
 	}
 	opt := scenario.RunOptions{Seed: rr.Seed, DT: rr.DT}
+	// Zero means "the spec's default", so the contract is finite and
+	// non-negative — not "positive".
 	if err := opt.Validate(); err != nil {
-		// Zero means "the spec's default", so the contract is finite and
-		// non-negative — not "positive".
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	st := s.submit(spec, opt, rr.NoForward, parentSpan(req))
-	code := http.StatusAccepted
-	if Terminal(st.Status) {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	return s.submit(spec, opt, rr.NoForward, parent), nil
 }
 
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
-	var sr SweepRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding sweep request: %v", err)
-		return
-	}
-	spec := s.resolveSpec(w, sr.Scenario, sr.Spec)
-	if spec == nil {
-		return
-	}
-	ax, err := ResolveSweepAxes(spec, &sr)
+func (s *Server) postSweep(sr *SweepRequest, parent obs.SpanContext) (*SweepStatus, error) {
+	spec, err := resolveSpec(sr.Scenario, sr.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	st := s.submitSweep(spec, ax, parentSpan(req))
-	code := http.StatusAccepted
-	if Terminal(st.Status) {
-		code = http.StatusOK
+	ax, err := ResolveSweepAxes(spec, sr)
+	if err != nil {
+		return nil, err
 	}
-	writeJSON(w, code, st)
+	return s.submitSweep(spec, ax, parent), nil
 }
 
 // lookupView fetches a tracked view of the given kind, 404ing otherwise.
-func (s *Server) lookupView(w http.ResponseWriter, req *http.Request, kind string) *view {
+func (s *Server) lookupView(w http.ResponseWriter, req *http.Request, kind *viewKind) *view {
 	id := req.PathValue("id")
 	s.mu.Lock()
 	v := s.views[id]
 	s.mu.Unlock()
 	if v == nil || v.kind != kind {
-		writeError(w, http.StatusNotFound, "no %s %q", kind, id)
+		writeError(w, http.StatusNotFound, "no %s %q", kind.name, id)
 		return nil
 	}
 	return v
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
-	if v := s.lookupView(w, req, "run"); v != nil {
-		writeJSON(w, http.StatusOK, s.runStatus(v))
-	}
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
-	if v := s.lookupView(w, req, "sweep"); v != nil {
-		writeJSON(w, http.StatusOK, s.sweepStatus(v))
-	}
-}
-
-// deleteView cancels an in-flight view or forgets a finished one. Shared
-// cells referenced by another live view survive either way.
-func (s *Server) deleteView(v *view) {
-	s.mu.Lock()
-	v.mu.Lock()
-	terminal := Terminal(v.status)
-	if !terminal {
-		v.canceled = true
-	}
-	v.mu.Unlock()
-	if !terminal {
-		// Leave the whole-run index immediately so new identical
-		// submissions start fresh instead of attaching to a dying run, and
-		// release the cells: ones nobody else wants are cancelled. An
-		// exploration's engine is stopped too, so no further batches attach.
-		if v.vcancel != nil {
-			v.vcancel()
+// handleGet serves a view's current status.
+func (s *Server) handleGet(kind *viewKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if v := s.lookupView(w, req, kind); v != nil {
+			writeJSON(w, http.StatusOK, kind.status(v))
 		}
-		if v.fp != "" && s.byFP[v.fp] == v {
-			delete(s.byFP, v.fp)
+	}
+}
+
+// handleDelete cancels an in-flight view or forgets a finished one, then
+// serves its status. Shared cells referenced by another live view survive
+// either way.
+func (s *Server) handleDelete(kind *viewKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		v := s.lookupView(w, req, kind)
+		if v == nil {
+			return
 		}
-		s.releaseCellsLocked(v)
-	} else {
-		s.forgetView(v)
+		s.mu.Lock()
+		v.mu.Lock()
+		terminal := Terminal(v.status)
+		if !terminal {
+			v.canceled = true
+		}
+		v.mu.Unlock()
+		if !terminal {
+			// Leave the whole-run index immediately so new identical
+			// submissions start fresh instead of attaching to a dying run,
+			// and release the cells: ones nobody else wants are cancelled.
+			// An exploration's engine is stopped too, so no further batches
+			// attach.
+			if v.vcancel != nil {
+				v.vcancel()
+			}
+			if v.fp != "" && s.byFP[v.fp] == v {
+				delete(s.byFP, v.fp)
+			}
+			s.releaseCellsLocked(v)
+		} else {
+			s.forgetView(v)
+		}
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, kind.status(v))
 	}
-	s.mu.Unlock()
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
-	v := s.lookupView(w, req, "run")
-	if v == nil {
-		return
-	}
-	s.deleteView(v)
-	writeJSON(w, http.StatusOK, s.runStatus(v))
-}
-
-func (s *Server) handleSweepDelete(w http.ResponseWriter, req *http.Request) {
-	v := s.lookupView(w, req, "sweep")
-	if v == nil {
-		return
-	}
-	s.deleteView(v)
-	writeJSON(w, http.StatusOK, s.sweepStatus(v))
 }
 
 // handleMetrics serves the Prometheus text exposition by default; a client

@@ -34,7 +34,7 @@ func (s *Server) handleTraceRaw(w http.ResponseWriter, req *http.Request) {
 
 // handleViewTrace serves a view's assembled span tree, merged across
 // cluster peers so forwarded work appears under the originating trace.
-func (s *Server) handleViewTrace(kind string) http.HandlerFunc {
+func (s *Server) handleViewTrace(kind *viewKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		v := s.lookupView(w, req, kind)
 		if v == nil {

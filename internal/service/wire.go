@@ -272,6 +272,22 @@ type ExploreStatus struct {
 	Result          *explore.Result     `json:"result,omitempty"`
 }
 
+// wireStatus is what the HTTP layer and the client's generic handle read
+// of the three view status types: the view's kind (its URL family) and
+// the id, status and error every view reports.
+type wireStatus interface {
+	kind() *viewKind
+	head() (id, status, errMsg string)
+}
+
+func (*RunStatus) kind() *viewKind     { return runKind }
+func (*SweepStatus) kind() *viewKind   { return sweepKind }
+func (*ExploreStatus) kind() *viewKind { return exploreKind }
+
+func (st *RunStatus) head() (string, string, string)     { return st.ID, st.Status, st.Error }
+func (st *SweepStatus) head() (string, string, string)   { return st.ID, st.Status, st.Error }
+func (st *ExploreStatus) head() (string, string, string) { return st.ID, st.Status, st.Error }
+
 // ScenarioInfo is one registry entry in the GET /scenarios listing.
 type ScenarioInfo struct {
 	Name        string   `json:"name"`

@@ -20,8 +20,9 @@ import "react/internal/mcu"
 //   - The cell argument is Config.ProbeCell, so callers that split one
 //     logical run across several batches can keep global cell identities.
 //   - The nil-probe path is allocation-free and costs only a handful of
-//     predictable branches per cell-tick (pinned by BenchmarkSimThroughput
-//     against the BENCH_*.json records).
+//     predictable branches per cell-tick (the allocation half is pinned by
+//     TestNilProbeAllocsIndependentOfLength: Run and RunBatch allocate the
+//     same at every run length).
 type Probe interface {
 	// DeviceState reports that the cell's device left state from for state
 	// to during the tick ending at sim time t. Transitions that begin and
