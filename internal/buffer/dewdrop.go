@@ -3,8 +3,6 @@ package buffer
 import (
 	"fmt"
 	"math"
-
-	"react/internal/circuit"
 )
 
 // Dewdrop is the adaptive-enable-voltage baseline (Buettner et al.,
@@ -13,14 +11,13 @@ import (
 // fixed platform threshold. That makes all stored energy fungible — the
 // system wakes exactly when the pending work is affordable — but, as the
 // paper notes, "still suffers from the reactivity-longevity tradeoff of
-// capacitor size": the capacitor is as fixed as any static buffer.
+// capacitor size": the capacitor is as fixed as any static buffer. It is
+// a Static buffer plus the enable-voltage and Leveler methods.
 type Dewdrop struct {
-	cap    circuit.Capacitor
-	name   string
-	vMin   float64
-	vCeil  float64
-	task   float64 // energy of the pending task, joules
-	ledger Ledger
+	Static
+	vMin  float64
+	vCeil float64
+	task  float64 // energy of the pending task, joules
 }
 
 // DewdropConfig describes a Dewdrop buffer.
@@ -46,13 +43,12 @@ func NewDewdrop(cfg DewdropConfig) *Dewdrop {
 		name = fmt.Sprintf("Dewdrop %.0f µF", cfg.C*1e6)
 	}
 	d := &Dewdrop{
-		name:  name,
+		Static: *NewStatic(StaticConfig{
+			Name: name, C: cfg.C, VMax: cfg.VMax,
+			LeakI: cfg.LeakI, VRated: cfg.VRated,
+		}),
 		vMin:  cfg.VMin,
 		vCeil: cfg.VEnableCeil,
-		cap: circuit.Capacitor{
-			C: cfg.C, VMax: cfg.VMax,
-			LeakI: cfg.LeakI, VRated: cfg.VRated,
-		},
 	}
 	if d.vCeil == 0 {
 		d.vCeil = cfg.VMax
@@ -87,51 +83,6 @@ func (d *Dewdrop) EnableVoltage() float64 {
 	}
 	return v
 }
-
-// Name implements Buffer.
-func (d *Dewdrop) Name() string { return d.name }
-
-// Harvest implements Buffer.
-func (d *Dewdrop) Harvest(dE float64) {
-	if dE <= 0 {
-		return
-	}
-	d.ledger.Harvested += dE
-	circuit.StoreEnergy(&d.cap, dE, 0)
-	d.ledger.Clipped += d.cap.Clip()
-}
-
-// Draw implements Buffer.
-func (d *Dewdrop) Draw(dE float64) float64 {
-	got := circuit.DrawEnergy(&d.cap, dE)
-	d.ledger.Consumed += got
-	return got
-}
-
-// OutputVoltage implements Buffer.
-func (d *Dewdrop) OutputVoltage() float64 { return d.cap.Voltage() }
-
-// Stored implements Buffer.
-func (d *Dewdrop) Stored() float64 { return d.cap.Energy() }
-
-// Capacitance implements Buffer.
-func (d *Dewdrop) Capacitance() float64 { return d.cap.C }
-
-// Tick implements Buffer.
-func (d *Dewdrop) Tick(now, dt float64, deviceOn bool) {
-	d.ledger.Leaked += d.cap.Leak(dt)
-}
-
-// QuiescentOff implements Quiescent: like Static, the off-tick is leakage
-// only.
-func (d *Dewdrop) QuiescentOff() bool { return d.cap.LeakI <= 0 || d.cap.Q <= 0 }
-
-// Ledger implements Buffer.
-func (d *Dewdrop) Ledger() *Ledger { return &d.ledger }
-
-// SoftwareOverheadFraction implements Buffer: recomputing one square root
-// per task is negligible.
-func (d *Dewdrop) SoftwareOverheadFraction() float64 { return 0 }
 
 // Dewdrop has exactly one capacitance configuration, so its "level ladder"
 // is binary: level 1 means the task-matched enable voltage is reached and

@@ -52,13 +52,13 @@ func (s *Static) Harvest(dE float64) {
 		return
 	}
 	s.ledger.Harvested += dE
-	circuit.StoreEnergy(&s.cap, dE, 0)
+	s.cap.Store(dE, 0)
 	s.ledger.Clipped += s.cap.Clip()
 }
 
 // Draw implements Buffer.
 func (s *Static) Draw(dE float64) float64 {
-	got := circuit.DrawEnergy(&s.cap, dE)
+	got := s.cap.Draw(dE)
 	s.ledger.Consumed += got
 	return got
 }

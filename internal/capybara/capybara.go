@@ -119,7 +119,7 @@ func (b *Buffer) Harvest(dE float64) {
 			take = room
 		}
 		for _, c := range b.active() {
-			circuit.StoreEnergy(c, take*c.C/railC, 0)
+			c.Store(take*c.C/railC, 0)
 		}
 		dE -= take
 	}
@@ -134,7 +134,7 @@ func (b *Buffer) Harvest(dE float64) {
 		if take > room {
 			take = room
 		}
-		circuit.StoreEnergy(r, take, 0)
+		r.Store(take, 0)
 		dE -= take
 	}
 	// Whatever remains has nowhere to go.
@@ -149,7 +149,7 @@ func (b *Buffer) Draw(dE float64) float64 {
 	}
 	var got float64
 	for _, c := range b.active() {
-		got += circuit.DrawEnergy(c, dE*c.C/railC)
+		got += c.Draw(dE * c.C / railC)
 	}
 	b.ledger.Consumed += got
 	return got
@@ -201,7 +201,7 @@ func (b *Buffer) Tick(now, dt float64, deviceOn bool) {
 	over := (b.cfg.BaseOverheadW + b.cfg.OverheadPerBankW*float64(b.mode+1)) * dt
 	var drawn float64
 	for _, c := range b.active() {
-		drawn += circuit.DrawEnergy(c, over*c.C/b.Capacitance())
+		drawn += c.Draw(over * c.C / b.Capacitance())
 	}
 	b.ledger.Overhead += drawn
 	b.poll -= dt
@@ -226,8 +226,7 @@ func (b *Buffer) controllerPoll() {
 			return
 		}
 		b.mode++
-		_, loss := circuit.EqualizeParallel(b.railNodes()...)
-		b.ledger.SwitchLoss += loss
+		b.ledger.SwitchLoss += b.equalize()
 	case v <= b.cfg.VLow && b.mode > 0:
 		// Disconnect the most recently added bank. Its residual charge
 		// strands on the reserve (recoverable only if the mode climbs
@@ -237,13 +236,28 @@ func (b *Buffer) controllerPoll() {
 	}
 }
 
-// railNodes returns the active banks as circuit nodes.
-func (b *Buffer) railNodes() []circuit.Node {
-	ns := make([]circuit.Node, 0, b.mode+1)
+// equalize parallels the active banks through the circuit.Parallel
+// kernels, as Morphy's equalize does for its chains, and returns the
+// charge-sharing loss.
+func (b *Buffer) equalize() float64 {
+	p := circuit.NewParallel()
 	for _, c := range b.active() {
-		ns = append(ns, c)
+		p.Add(c.C, c.Voltage())
 	}
-	return ns
+	v, moves := p.Settle()
+	if !moves {
+		return 0
+	}
+	var before float64
+	for _, c := range b.active() {
+		before += c.Energy()
+	}
+	after := 0.0
+	for _, c := range b.active() {
+		c.AddCharge(circuit.EqualizeCharge(c.C, c.Voltage(), v))
+		after += c.Energy()
+	}
+	return circuit.GuardLoss(before - after)
 }
 
 // QuiescentOff implements buffer.Quiescent. A device-off tick leaks and

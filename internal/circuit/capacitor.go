@@ -10,6 +10,12 @@
 // (E_before − E_after), which is the quantity REACT's bank-isolation design
 // exists to avoid and the quantity that sinks Morphy-style unified arrays.
 //
+// Charge moves are scalar kernels over plain values (capacitance, voltage,
+// energy, diode drop): StoreCharge, DrawCharge with Drawn, TransferCharge,
+// and the Parallel accumulator with EqualizeCharge and GuardLoss. Buffers
+// call them on their concrete nodes; Capacitor.Store and Capacitor.Draw
+// wrap the first two for a single capacitor.
+//
 // Units are SI throughout: farads, coulombs, volts, joules, seconds, amps.
 package circuit
 
@@ -44,7 +50,7 @@ func (c *Capacitor) Energy() float64 {
 	return c.Q * c.Q / (2 * c.C)
 }
 
-// Capacitance returns C. It exists so *Capacitor satisfies Node.
+// Capacitance returns C, the terminal capacitance, matching Chain's.
 func (c *Capacitor) Capacitance() float64 { return c.C }
 
 // AddCharge moves dq onto (or, if negative, off) the capacitor. Charge may
@@ -56,6 +62,34 @@ func (c *Capacitor) AddCharge(dq float64) float64 {
 	}
 	c.Q += dq
 	return dq
+}
+
+// Store delivers dE joules into the capacitor through a diode with forward
+// drop vDrop (see StoreCharge) and returns the charge delivered and the
+// energy lost in the drop.
+func (c *Capacitor) Store(dE, vDrop float64) (dq, loss float64) {
+	if dE <= 0 {
+		return 0, 0
+	}
+	dq, loss = StoreCharge(c.C, c.Voltage(), dE, vDrop)
+	c.AddCharge(dq)
+	return dq, loss
+}
+
+// Draw withdraws up to dE joules from the capacitor (see DrawCharge) and
+// returns the energy actually removed (less than dE only if it empties
+// first).
+func (c *Capacitor) Draw(dE float64) float64 {
+	if dE <= 0 {
+		return 0
+	}
+	dq := DrawCharge(c.C, c.Voltage(), dE)
+	if dq == 0 {
+		return 0
+	}
+	before := c.Energy()
+	c.AddCharge(-dq)
+	return Drawn(before, c.Energy())
 }
 
 // SetVoltage forces the capacitor to voltage v, discarding or creating

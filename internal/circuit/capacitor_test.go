@@ -3,7 +3,6 @@ package circuit
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func approx(t *testing.T, got, want, tol float64, msg string) {
@@ -117,232 +116,4 @@ func TestChainWithdrawReverseCharges(t *testing.T) {
 	approx(t, a.Q, -0.5e-3, 1e-15, "drained member charges in reverse")
 	approx(t, b.Q, 0.5e-3, 1e-15, "other member discharges normally")
 	approx(t, ch.Voltage(), 0, 1e-12, "terminal voltage nets to zero")
-}
-
-// TestPaperLossFourCap reproduces the first worked example in §3.3.1: four
-// capacitors C in series charged to total V; one capacitor is removed from
-// the chain and placed in parallel with the remaining three-series chain.
-// The paper derives a final voltage of 3V/8 and a 25 % energy loss.
-func TestPaperLossFourCap(t *testing.T) {
-	const C, V = 1e-3, 4.0
-	caps := make([]*Capacitor, 4)
-	for i := range caps {
-		caps[i] = &Capacitor{C: C}
-		caps[i].SetVoltage(V / 4) // series charging leaves members equal
-	}
-	full := NewChain(caps...)
-	eOld := full.Energy()
-	approx(t, eOld, 0.5*(C/4)*V*V, 1e-12, "E_old = ½(C/4)V²")
-
-	three := NewChain(caps[0], caps[1], caps[2])
-	single := NewChain(caps[3])
-	vNew, loss := EqualizeParallel(three, single)
-
-	approx(t, vNew, 3*V/8, 1e-9, "final voltage 3V/8")
-	eNew := three.Energy() + single.Energy()
-	approx(t, eNew/eOld, 0.75, 1e-9, "75 % of energy conserved")
-	approx(t, loss, 0.25*eOld, 1e-9, "25 % dissipated")
-}
-
-// TestPaperLossEightCap reproduces the second worked example in §3.3.1: an
-// eight-capacitor array transitions from all-parallel to
-// seven-series-one-parallel, wasting 56.25 % of its stored energy.
-func TestPaperLossEightCap(t *testing.T) {
-	const C, V = 2e-3, 3.0
-	caps := make([]*Capacitor, 8)
-	for i := range caps {
-		caps[i] = &Capacitor{C: C}
-		caps[i].SetVoltage(V) // all-parallel: every member at V
-	}
-	eOld := 8 * 0.5 * C * V * V
-
-	seven := NewChain(caps[:7]...)
-	one := NewChain(caps[7])
-	_, loss := EqualizeParallel(seven, one)
-
-	eNew := seven.Energy() + one.Energy()
-	approx(t, eNew/eOld, 0.4375, 1e-9, "43.75 % of energy conserved")
-	approx(t, loss/eOld, 0.5625, 1e-9, "56.25 % dissipated")
-}
-
-func TestEqualizeParallelEqualVoltagesLossless(t *testing.T) {
-	a := &Capacitor{C: 1e-3}
-	b := &Capacitor{C: 5e-3}
-	a.SetVoltage(2.5)
-	b.SetVoltage(2.5)
-	v, loss := EqualizeParallel(a, b)
-	approx(t, v, 2.5, 1e-12, "equal-voltage equalization keeps voltage")
-	approx(t, loss, 0, 1e-12, "equal-voltage equalization is lossless")
-}
-
-func TestEqualizeParallelEmpty(t *testing.T) {
-	v, loss := EqualizeParallel()
-	if v != 0 || loss != 0 {
-		t.Error("no nodes, no effect")
-	}
-}
-
-func TestTransferOneWayBlocksReverse(t *testing.T) {
-	lo := &Capacitor{C: 1e-3}
-	hi := &Capacitor{C: 1e-3}
-	lo.SetVoltage(1.0)
-	hi.SetVoltage(3.0)
-	dq, loss := TransferOneWay(lo, hi, 0)
-	if dq != 0 || loss != 0 {
-		t.Error("diode must not conduct from low to high")
-	}
-}
-
-func TestTransferOneWayEqualizes(t *testing.T) {
-	src := &Capacitor{C: 1e-3}
-	dst := &Capacitor{C: 1e-3}
-	src.SetVoltage(3.0)
-	dst.SetVoltage(1.0)
-	dq, loss := TransferOneWay(src, dst, 0)
-	approx(t, src.Voltage(), 2.0, 1e-9, "source settles at midpoint")
-	approx(t, dst.Voltage(), 2.0, 1e-9, "dest settles at midpoint")
-	approx(t, dq, 1e-3, 1e-12, "transferred charge")
-	// Equal caps from 3 V and 1 V: loss = ¼C(ΔV)² = ¼·1e-3·4 = 1 mJ.
-	approx(t, loss, 1e-3, 1e-9, "conduction loss")
-}
-
-func TestTransferOneWaySchottkyDropStopsEarly(t *testing.T) {
-	src := &Capacitor{C: 1e-3}
-	dst := &Capacitor{C: 1e-3}
-	src.SetVoltage(3.0)
-	dst.SetVoltage(1.0)
-	_, _ = TransferOneWay(src, dst, 0.3)
-	approx(t, src.Voltage()-dst.Voltage(), 0.3, 1e-9, "conduction stops at the forward drop")
-}
-
-func TestStoreEnergyFromZeroVolts(t *testing.T) {
-	c := &Capacitor{C: 1e-3}
-	dq, loss := StoreEnergy(c, 1e-3, 0)
-	approx(t, loss, 0, 1e-15, "ideal diode, no drop loss")
-	approx(t, c.Energy(), 1e-3, 1e-12, "all energy stored")
-	if dq <= 0 {
-		t.Error("charge must be delivered")
-	}
-}
-
-func TestStoreEnergyWithDropLoses(t *testing.T) {
-	c := &Capacitor{C: 1e-3}
-	c.SetVoltage(2.0)
-	dq, loss := StoreEnergy(c, 1e-3, 0.3)
-	approx(t, loss, 0.3*dq, 1e-15, "drop loss = vDrop·dq")
-	approx(t, c.Energy()-0.5*1e-3*4, 1e-3-loss, 1e-9, "stored = delivered − loss")
-}
-
-func TestStoreEnergyNowhere(t *testing.T) {
-	ch := NewChain()
-	_, loss := StoreEnergy(ch, 1e-3, 0)
-	approx(t, loss, 1e-3, 0, "zero capacitance burns the energy")
-}
-
-func TestDrawEnergyExact(t *testing.T) {
-	c := &Capacitor{C: 1e-3}
-	c.SetVoltage(3.0)
-	before := c.Energy()
-	got := DrawEnergy(c, 1e-3)
-	approx(t, got, 1e-3, 1e-12, "requested energy drawn")
-	approx(t, before-c.Energy(), 1e-3, 1e-12, "stored energy fell by the same amount")
-}
-
-func TestDrawEnergyDrainsCompletely(t *testing.T) {
-	c := &Capacitor{C: 1e-3}
-	c.SetVoltage(2.0)
-	avail := c.Energy()
-	got := DrawEnergy(c, 10*avail)
-	approx(t, got, avail, 1e-12, "over-draw returns what was available")
-	approx(t, c.Voltage(), 0, 1e-12, "capacitor empty")
-}
-
-func TestDrawEnergyFromEmpty(t *testing.T) {
-	c := &Capacitor{C: 1e-3}
-	if DrawEnergy(c, 1) != 0 {
-		t.Error("nothing to draw from an empty capacitor")
-	}
-}
-
-// Property: equalizing any pair of randomly charged capacitors conserves
-// charge exactly and never creates energy.
-func TestEqualizeParallelProperties(t *testing.T) {
-	f := func(c1u, c2u, v1u, v2u uint16) bool {
-		c1 := 1e-6 + float64(c1u)*1e-7
-		c2 := 1e-6 + float64(c2u)*1e-7
-		v1 := float64(v1u) / 1e4 * 5
-		v2 := float64(v2u) / 1e4 * 5
-		a := &Capacitor{C: c1}
-		b := &Capacitor{C: c2}
-		a.SetVoltage(v1)
-		b.SetVoltage(v2)
-		qBefore := a.Q + b.Q
-		eBefore := a.Energy() + b.Energy()
-		_, loss := EqualizeParallel(a, b)
-		qAfter := a.Q + b.Q
-		eAfter := a.Energy() + b.Energy()
-		chargeOK := math.Abs(qBefore-qAfter) <= 1e-12*(1+math.Abs(qBefore))
-		energyOK := loss >= 0 && math.Abs(eBefore-eAfter-loss) <= 1e-9*(1+eBefore)
-		voltOK := math.Abs(a.Voltage()-b.Voltage()) <= 1e-9
-		return chargeOK && energyOK && voltOK
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: a store/draw round trip through an ideal diode returns the
-// energy put in, to numerical tolerance.
-func TestStoreDrawRoundTrip(t *testing.T) {
-	f := func(cu, eu uint16) bool {
-		c := &Capacitor{C: 1e-6 + float64(cu)*1e-7}
-		dE := 1e-9 + float64(eu)*1e-8
-		StoreEnergy(c, dE, 0)
-		got := DrawEnergy(c, dE)
-		return math.Abs(got-dE) <= 1e-9*(1+dE)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: one-way transfer never pushes the destination above the source's
-// original voltage and always dissipates a non-negative amount.
-func TestTransferOneWayProperties(t *testing.T) {
-	f := func(v1u, v2u uint16) bool {
-		src := &Capacitor{C: 2e-3}
-		dst := &Capacitor{C: 0.5e-3}
-		vs := float64(v1u) / 1e4 * 5
-		vd := float64(v2u) / 1e4 * 5
-		src.SetVoltage(vs)
-		dst.SetVoltage(vd)
-		qBefore := src.Q + dst.Q
-		_, loss := TransferOneWay(src, dst, 0)
-		if loss < 0 {
-			return false
-		}
-		if dst.Voltage() > vs+1e-9 && vs > vd {
-			return false
-		}
-		return math.Abs(src.Q+dst.Q-qBefore) <= 1e-12*(1+qBefore)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Regression: drawing almost exactly the stored energy used to produce a
-// NaN when rounding pushed the discriminant v² − 2dE/C fractionally
-// negative while dE was still below the computed extractable maximum.
-func TestDrawEnergyExactDrainNoNaN(t *testing.T) {
-	c := &Capacitor{C: 1e-6 + float64(0x2540)*1e-7}
-	dE := 1e-9 + float64(0x557e)*1e-8
-	StoreEnergy(c, dE, 0)
-	got := DrawEnergy(c, dE)
-	if math.IsNaN(got) || math.Abs(got-dE) > 1e-9*(1+dE) {
-		t.Errorf("round trip of %.12g returned %.12g", dE, got)
-	}
-	if c.Q < 0 || math.IsNaN(c.Q) {
-		t.Errorf("charge corrupted: %g", c.Q)
-	}
 }

@@ -2,23 +2,6 @@ package circuit
 
 import "math"
 
-// Node is any storage element that presents a two-terminal capacitive
-// interface: an equivalent capacitance, a terminal voltage, and the ability
-// to accept terminal charge. Single capacitors, series chains, and REACT
-// banks all satisfy it, which lets the charge-sharing solvers below operate
-// on heterogeneous networks.
-type Node interface {
-	// Capacitance is the equivalent capacitance seen at the terminal.
-	Capacitance() float64
-	// Voltage is the terminal voltage.
-	Voltage() float64
-	// AddCharge moves dq through the terminal (negative to withdraw) and
-	// returns the charge actually moved (withdrawals stop at empty).
-	AddCharge(dq float64) float64
-	// Energy is the total energy stored inside the element.
-	Energy() float64
-}
-
 // Chain is a set of capacitors connected in series. Terminal charge passes
 // through every member equally; terminal voltage is the sum of member
 // voltages. Members need not hold equal charge — an imbalanced chain is how
@@ -91,9 +74,15 @@ func (ch *Chain) AddCharge(dq float64) float64 {
 }
 
 // Parallel accumulates the terminals of a parallel network — capacitance
-// and voltage, node by node — for the equalization arithmetic. It is the
-// scalar kernel behind EqualizeParallel; callers holding concrete nodes
-// feed it directly and skip the Node dispatch.
+// and voltage, node by node — for the equalization arithmetic. A buffer
+// that parallels charged nodes feeds it each node, calls Settle, moves
+// EqualizeCharge onto every node and charges GuardLoss(E_before − E_after)
+// as switch loss.
+//
+// This is the lossy operation at the heart of the paper's §3.3.1 analysis:
+// a unified switched-capacitor array pays it on every reconfiguration,
+// while REACT's isolated banks never connect charged elements at different
+// potentials.
 type Parallel struct {
 	csum, qsum, minV, maxV float64
 }
@@ -134,8 +123,7 @@ func (p *Parallel) Settle() (v float64, moves bool) {
 // A kernel whose charge ends in a product rounds it with an explicit
 // conversion: a caller that inlines the kernel and adds the result to a
 // stored charge must not fuse the product into that sum (FMA on arm64 and
-// similar targets), which the Node helpers never could across their
-// interface calls.
+// similar targets).
 func EqualizeCharge(c, nv, v float64) float64 {
 	return float64(c * (v - nv))
 }
@@ -147,36 +135,6 @@ func GuardLoss(loss float64) float64 {
 		return 0
 	}
 	return loss
-}
-
-// EqualizeParallel connects the nodes in parallel and lets charge
-// redistribute until all terminal voltages are equal, conserving total
-// terminal charge. It returns the common final voltage and the energy
-// dissipated in the interconnect (always ≥ 0 up to rounding).
-//
-// This is the lossy operation at the heart of the paper's §3.3.1 analysis:
-// a unified switched-capacitor array pays it on every reconfiguration,
-// while REACT's isolated banks never connect charged elements at different
-// potentials.
-func EqualizeParallel(nodes ...Node) (v, loss float64) {
-	p := NewParallel()
-	for _, n := range nodes {
-		p.Add(n.Capacitance(), n.Voltage())
-	}
-	v, moves := p.Settle()
-	if !moves {
-		return v, 0
-	}
-	var before float64
-	for _, n := range nodes {
-		before += n.Energy()
-	}
-	after := 0.0
-	for _, n := range nodes {
-		n.AddCharge(EqualizeCharge(n.Capacitance(), n.Voltage(), v))
-		after += n.Energy()
-	}
-	return v, GuardLoss(before - after)
 }
 
 // TransferCharge is the charge a diode of forward drop vDrop conducts from
@@ -192,21 +150,6 @@ func TransferCharge(cs, vs, cd, vd, vDrop float64) (dq float64, ok bool) {
 	}
 	// Charge balance: vs - dq/cs = vd + dq/cd + vDrop.
 	return (vs - vd - vDrop) * cs * cd / (cs + cd), true
-}
-
-// TransferOneWay conducts charge from src to dst through a diode with
-// forward drop vDrop, stopping when V(src) = V(dst) + vDrop (or immediately
-// if src is not above that level). It returns the charge moved and the
-// energy dissipated in the diode and interconnect.
-func TransferOneWay(src, dst Node, vDrop float64) (dq, loss float64) {
-	dq, ok := TransferCharge(src.Capacitance(), src.Voltage(), dst.Capacitance(), dst.Voltage(), vDrop)
-	if !ok {
-		return 0, 0
-	}
-	before := src.Energy() + dst.Energy()
-	src.AddCharge(-dq)
-	dst.AddCharge(dq)
-	return dq, GuardLoss(before - src.Energy() - dst.Energy())
 }
 
 // StoreCharge is the charge that delivers dE joules at constant power into
@@ -229,18 +172,6 @@ func StoreCharge(c, v, dE, vDrop float64) (dq, loss float64) {
 	v += vDrop
 	dq = float64(c * (math.Sqrt(v*v+2*dE/c) - v))
 	return dq, vDrop * dq
-}
-
-// StoreEnergy delivers dE joules into the node through a diode with
-// forward drop vDrop (see StoreCharge) and returns the charge delivered
-// and the energy lost in the drop.
-func StoreEnergy(n Node, dE, vDrop float64) (dq, loss float64) {
-	if dE <= 0 {
-		return 0, 0 // before any interface call
-	}
-	dq, loss = StoreCharge(n.Capacitance(), n.Voltage(), dE, vDrop)
-	n.AddCharge(dq)
-	return dq, loss
 }
 
 // DrawCharge is the terminal charge to withdraw from capacitance c at
@@ -271,20 +202,4 @@ func Drawn(before, after float64) float64 {
 		return 0
 	}
 	return drawn
-}
-
-// DrawEnergy withdraws up to dE joules from the node (see DrawCharge) and
-// returns the energy actually removed (less than dE only if the node
-// empties first).
-func DrawEnergy(n Node, dE float64) float64 {
-	if dE <= 0 {
-		return 0 // before any interface call
-	}
-	dq := DrawCharge(n.Capacitance(), n.Voltage(), dE)
-	if dq == 0 {
-		return 0
-	}
-	before := n.Energy()
-	n.AddCharge(-dq)
-	return Drawn(before, n.Energy())
 }

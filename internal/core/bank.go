@@ -63,7 +63,8 @@ type BankSpec struct {
 // capacitors within a bank are always switched together (all-series or
 // all-parallel) and charge only through the common terminal, they hold equal
 // charge at all times; the bank therefore tracks a single per-capacitor
-// charge. It satisfies circuit.Node in every connected state.
+// charge. Its terminal methods (Capacitance, Voltage, AddCharge, Energy)
+// match circuit.Capacitor's and circuit.Chain's.
 type Bank struct {
 	Spec  BankSpec
 	State BankState

@@ -6,19 +6,18 @@ import (
 	"testing"
 
 	"react/internal/buffer"
-	"react/internal/circuit"
 	"react/internal/simtest"
 )
 
-// nodeRef steps a REACT buffer through the Node-level circuit helpers —
+// nodeRef steps a REACT buffer through the Node-level simtest helpers —
 // StoreEnergy, DrawEnergy and TransferOneWay over the rail as a
-// []circuit.Node — instead of the kernels the buffer calls on its concrete
+// []simtest.Node — instead of the kernels the buffer calls on its concrete
 // nodes. The controller's bookkeeping (stepUp, leakage, clipping) is
 // shared; every charge move goes through the helpers.
 type nodeRef struct{ *Buffer }
 
-func (r nodeRef) connected() []circuit.Node {
-	nodes := []circuit.Node{&r.llb}
+func (r nodeRef) connected() []simtest.Node {
+	nodes := []simtest.Node{&r.llb}
 	for _, bank := range r.banks {
 		if bank.State != Disconnected {
 			nodes = append(nodes, bank)
@@ -54,17 +53,17 @@ func (r nodeRef) Harvest(dE float64) {
 		if n.Voltage() > minV+tie {
 			continue
 		}
-		_, loss := circuit.StoreEnergy(n, dE*n.Capacitance()/groupC, r.cfg.DiodeDrop)
+		_, loss := simtest.StoreEnergy(n, dE*n.Capacitance()/groupC, r.cfg.DiodeDrop)
 		r.ledger.SwitchLoss += loss
 	}
 	r.clip()
 }
 
 func (r nodeRef) Draw(dE float64) float64 {
-	got := circuit.DrawEnergy(&r.llb, dE)
+	got := simtest.DrawEnergy(&r.llb, dE)
 	if got < dE {
 		r.relax()
-		got += circuit.DrawEnergy(&r.llb, dE-got)
+		got += simtest.DrawEnergy(&r.llb, dE-got)
 	}
 	r.ledger.Consumed += got
 	return got
@@ -86,7 +85,7 @@ func (r nodeRef) relax() {
 		if donor == nil {
 			return
 		}
-		_, loss := circuit.TransferOneWay(donor, &r.llb, r.cfg.DiodeDrop)
+		_, loss := simtest.TransferOneWay(donor, &r.llb, r.cfg.DiodeDrop)
 		r.ledger.SwitchLoss += loss
 		r.ledger.Clipped += r.llb.Clip()
 	}
@@ -110,7 +109,7 @@ func (r nodeRef) Tick(now, dt float64, deviceOn bool) {
 		}
 	}
 	over := (r.cfg.BaseOverheadW + r.cfg.OverheadPerBankW*float64(connected)) * dt
-	r.ledger.Overhead += circuit.DrawEnergy(&r.llb, over)
+	r.ledger.Overhead += simtest.DrawEnergy(&r.llb, over)
 	r.poll -= dt
 	if r.poll <= 0 {
 		r.poll += 1 / r.cfg.PollHz

@@ -145,9 +145,7 @@ func (b *Buffer) Banks() []*Bank { return b.banks }
 // 1 mV of the minimum share the charge in proportion to capacitance.
 //
 // The rail is the LLB followed by the connected banks, visited in that
-// order by each pass. The passes call the circuit kernels on the concrete
-// nodes: this is the simulation's hottest path, and circuit.StoreEnergy
-// over a []circuit.Node would cost an interface call per read.
+// order by each pass, each node charged through circuit.StoreCharge.
 func (b *Buffer) Harvest(dE float64) {
 	if dE <= 0 {
 		return
@@ -198,27 +196,15 @@ func (b *Buffer) Harvest(dE float64) {
 // Draw implements buffer.Buffer. The device is supplied from the LLB only;
 // banks replenish it through their output diodes during Tick.
 func (b *Buffer) Draw(dE float64) float64 {
-	got := b.drawLLB(dE)
+	got := b.llb.Draw(dE)
 	if got < dE {
 		// LLB alone could not cover the demand within this tick; let the
 		// banks conduct immediately (the output diodes are not clocked).
 		b.relax()
-		got += b.drawLLB(dE - got)
+		got += b.llb.Draw(dE - got)
 	}
 	b.ledger.Consumed += got
 	return got
-}
-
-// drawLLB withdraws up to dE joules from the LLB: circuit.DrawEnergy on
-// the concrete capacitor.
-func (b *Buffer) drawLLB(dE float64) float64 {
-	dq := circuit.DrawCharge(b.llb.C, b.llb.Voltage(), dE)
-	if dq == 0 {
-		return 0
-	}
-	before := b.llb.Energy()
-	b.llb.AddCharge(-dq)
-	return circuit.Drawn(before, b.llb.Energy())
 }
 
 // OutputVoltage implements buffer.Buffer.
@@ -264,8 +250,8 @@ func (b *Buffer) relax() {
 		if donor == nil {
 			return
 		}
-		// circuit.TransferOneWay(donor, &b.llb, drop) on the concrete
-		// nodes; best is the donor's voltage.
+		// The donor's output diode conducts into the LLB; best is the
+		// donor's voltage.
 		if dq, ok := circuit.TransferCharge(donor.Capacitance(), best, b.llb.C, vLLB, b.cfg.DiodeDrop); ok {
 			before := donor.Energy() + b.llb.Energy()
 			donor.AddCharge(-dq)
@@ -307,7 +293,7 @@ func (b *Buffer) Tick(now, dt float64, deviceOn bool) {
 		}
 	}
 	over := (b.cfg.BaseOverheadW + b.cfg.OverheadPerBankW*float64(connected)) * dt
-	b.ledger.Overhead += b.drawLLB(over)
+	b.ledger.Overhead += b.llb.Draw(over)
 	b.poll -= dt
 	if b.poll <= 0 {
 		b.poll += 1 / b.cfg.PollHz

@@ -4,23 +4,22 @@ import (
 	"testing"
 
 	"react/internal/buffer"
-	"react/internal/circuit"
 	"react/internal/simtest"
 )
 
-// nodeRef steps a Morphy array through the Node-level circuit helpers —
+// nodeRef steps a Morphy array through the Node-level simtest helpers —
 // EqualizeParallel, StoreEnergy and DrawEnergy over the chains as
-// []circuit.Node — instead of the kernels the buffer calls on its concrete
+// []simtest.Node — instead of the kernels the buffer calls on its concrete
 // chains. Partition rebuilding, leakage and clipping are shared; every
 // charge move goes through the helpers.
 type nodeRef struct{ *Buffer }
 
 func (r nodeRef) equalize() {
-	nodes := make([]circuit.Node, len(r.chains))
+	nodes := make([]simtest.Node, len(r.chains))
 	for i, ch := range r.chains {
 		nodes[i] = ch
 	}
-	_, loss := circuit.EqualizeParallel(nodes...)
+	_, loss := simtest.EqualizeParallel(nodes...)
 	r.ledger.SwitchLoss += loss
 }
 
@@ -42,7 +41,7 @@ func (r nodeRef) Harvest(dE float64) {
 		return
 	}
 	for _, ch := range r.chains {
-		circuit.StoreEnergy(ch, dE*ch.Capacitance()/total, 0)
+		simtest.StoreEnergy(ch, dE*ch.Capacitance()/total, 0)
 	}
 	r.clip()
 }
@@ -59,7 +58,7 @@ func (r nodeRef) Draw(dE float64) float64 {
 	for iter := 0; iter < 4 && remaining > 1e-18; iter++ {
 		var got float64
 		for _, ch := range r.chains {
-			got += circuit.DrawEnergy(ch, remaining*ch.Capacitance()/total)
+			got += simtest.DrawEnergy(ch, remaining*ch.Capacitance()/total)
 		}
 		remaining -= got
 		if got == 0 {

@@ -77,8 +77,9 @@ func DefaultConfig() Config {
 type Buffer struct {
 	cfg     Config
 	caps    []*circuit.Capacitor
-	chains  []*circuit.Chain
-	idx     int // current partition index
+	configs [][]*circuit.Chain // each partition's chains, built once in New
+	chains  []*circuit.Chain   // configs[idx]
+	idx     int                // current partition index
 	ledger  buffer.Ledger
 	poll    float64
 	holdoff int // polls remaining before another reconfiguration is allowed
@@ -107,6 +108,19 @@ func New(cfg Config) *Buffer {
 			C: cfg.UnitC, LeakI: cfg.LeakI, VRated: cfg.VRated,
 		})
 	}
+	for idx, part := range cfg.Partitions {
+		var chains []*circuit.Chain
+		at := idx
+		for _, m := range part {
+			caps := make([]*circuit.Capacitor, m)
+			for i := range caps {
+				caps[i] = b.caps[(at+i)%cfg.NumCaps]
+			}
+			at += m
+			chains = append(chains, circuit.NewChain(caps...))
+		}
+		b.configs = append(b.configs, chains)
+	}
 	b.rebuild()
 	if cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
@@ -114,34 +128,20 @@ func New(cfg Config) *Buffer {
 	return b
 }
 
-// rebuild reconstructs the chain list for the current partition. Each
+// rebuild switches the fabric to the current partition's chains. Each
 // configuration starts its assignment at a different capacitor (rotating by
-// the partition index): the fixed switch fabric's configurations do not
-// nest, so stepping the ladder reshuffles which capacitors share a chain —
-// and reshuffling charged capacitors into new chains is where the §3.3.1
-// dissipation comes from.
-func (b *Buffer) rebuild() {
-	part := b.cfg.Partitions[b.idx]
-	b.chains = b.chains[:0]
-	at := b.idx
-	n := len(b.caps)
-	for _, m := range part {
-		caps := make([]*circuit.Capacitor, m)
-		for i := 0; i < m; i++ {
-			caps[i] = b.caps[(at+i)%n]
-		}
-		at += m
-		b.chains = append(b.chains, circuit.NewChain(caps...))
-	}
-}
+// the partition index, as New builds them): the fixed switch fabric's
+// configurations do not nest, so stepping the ladder reshuffles which
+// capacitors share a chain — and reshuffling charged capacitors into new
+// chains is where the §3.3.1 dissipation comes from.
+func (b *Buffer) rebuild() { b.chains = b.configs[b.idx] }
 
 // Name implements buffer.Buffer.
 func (b *Buffer) Name() string { return "Morphy" }
 
-// equalize relaxes the parallel chain network, charging any imbalance to
-// the switch-loss ledger. It is circuit.EqualizeParallel over the chains,
-// calling the circuit kernels on the concrete *circuit.Chain values: Tick
-// equalizes every step, and the Node form costs an interface call per read.
+// equalize relaxes the parallel chain network through the circuit.Parallel
+// kernels, charging any imbalance to the switch-loss ledger. Tick
+// equalizes every step; Settle's early-out keeps that cheap.
 func (b *Buffer) equalize() {
 	p := circuit.NewParallel()
 	for _, ch := range b.chains {
@@ -219,8 +219,8 @@ func (b *Buffer) Draw(dE float64) float64 {
 	return consumed
 }
 
-// drawChain withdraws up to dE joules from one chain: circuit.DrawEnergy on
-// the concrete chain.
+// drawChain withdraws up to dE joules from one chain (see
+// circuit.DrawCharge) and returns the energy removed.
 func drawChain(ch *circuit.Chain, dE float64) float64 {
 	dq := circuit.DrawCharge(ch.Capacitance(), ch.Voltage(), dE)
 	if dq == 0 {

@@ -68,7 +68,9 @@ type (
 	StaticConfig = buffer.StaticConfig
 	// DewdropConfig describes an adaptive-enable-voltage buffer (§2.4).
 	DewdropConfig = buffer.DewdropConfig
-	// DewdropBuffer is the Dewdrop baseline implementation.
+	// DewdropBuffer is the Dewdrop baseline implementation: a static
+	// buffer (its embedded Static field) plus the task-matched enable
+	// voltage.
 	DewdropBuffer = buffer.Dewdrop
 	// Config describes a REACT buffer (last-level buffer, banks,
 	// thresholds, overheads).
