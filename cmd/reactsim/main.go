@@ -68,6 +68,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -485,12 +486,32 @@ func runScenario(name, file string, seed uint64, workers int, dt float64, jsonOu
 	fmt.Printf("trace    %s (%.0f s, %.3g mW mean, CV %.0f%%)\n", tr.Name, s.Duration, s.Mean*1e3, s.CV*100)
 	fmt.Printf("seed     %d\n\n", run.Seed)
 
-	// One row per buffer; columns are the shared stats plus the union of
-	// workload metrics.
+	writeResultTable(os.Stdout, localCells(spec, run.Results))
+	return nil
+}
+
+// localCells shapes a local run's results like a remote run's cells, so
+// both print through writeResultTable.
+func localCells(spec *scenario.Spec, results []sim.Result) []service.CellStatus {
+	cells := make([]service.CellStatus, len(results))
+	for i, res := range results {
+		cells[i] = service.CellStatus{Buffer: spec.Buffers[i].DisplayName(), Result: &service.CellResult{
+			Latency: res.Latency, Duty: res.OnFraction(), Cycles: res.Cycles, Metrics: res.Metrics,
+		}}
+	}
+	return cells
+}
+
+// writeResultTable prints one row per buffer; columns are the shared stats
+// plus the union of workload metrics. A cell without a result prints as a
+// "-" row.
+func writeResultTable(w io.Writer, cells []service.CellStatus) {
 	keySet := map[string]bool{}
-	for _, res := range run.Results {
-		for k := range res.Metrics {
-			keySet[k] = true
+	for _, cell := range cells {
+		if cell.Result != nil {
+			for k := range cell.Result.Metrics {
+				keySet[k] = true
+			}
 		}
 	}
 	keys := make([]string, 0, len(keySet))
@@ -498,23 +519,27 @@ func runScenario(name, file string, seed uint64, workers int, dt float64, jsonOu
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fmt.Printf("%-14s %9s %7s %7s", "buffer", "latency", "duty%", "cycles")
+	fmt.Fprintf(w, "%-14s %9s %7s %7s", "buffer", "latency", "duty%", "cycles")
 	for _, k := range keys {
-		fmt.Printf(" %10s", k)
+		fmt.Fprintf(w, " %10s", k)
 	}
-	fmt.Println()
-	for i, res := range run.Results {
+	fmt.Fprintln(w)
+	for _, cell := range cells {
+		if cell.Result == nil {
+			fmt.Fprintf(w, "%-14s %9s\n", cell.Buffer, "-")
+			continue
+		}
+		r := cell.Result
 		lat := "-"
-		if res.Latency >= 0 {
-			lat = fmt.Sprintf("%.2f", res.Latency)
+		if r.Latency >= 0 {
+			lat = fmt.Sprintf("%.2f", r.Latency)
 		}
-		fmt.Printf("%-14s %9s %7.1f %7d", spec.Buffers[i].DisplayName(), lat, res.OnFraction()*100, res.Cycles)
+		fmt.Fprintf(w, "%-14s %9s %7.1f %7d", cell.Buffer, lat, r.Duty*100, r.Cycles)
 		for _, k := range keys {
-			fmt.Printf(" %10.0f", res.Metrics[k])
+			fmt.Fprintf(w, " %10.0f", r.Metrics[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	return nil
 }
 
 func validateNames(buf, bench string) error {
@@ -637,40 +662,7 @@ func runRemote(addr, name, file string, seed uint64, dt float64, seeds int, json
 	fmt.Printf("scenario %s (remote %s, %s)\n", st.Scenario, st.ID, disposition)
 	fmt.Printf("seed     %d\n\n", st.Seed)
 
-	keySet := map[string]bool{}
-	for _, cell := range st.Cells {
-		if cell.Result != nil {
-			for k := range cell.Result.Metrics {
-				keySet[k] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Printf("%-14s %9s %7s %7s", "buffer", "latency", "duty%", "cycles")
-	for _, k := range keys {
-		fmt.Printf(" %10s", k)
-	}
-	fmt.Println()
-	for _, cell := range st.Cells {
-		if cell.Result == nil {
-			fmt.Printf("%-14s %9s\n", cell.Buffer, "-")
-			continue
-		}
-		r := cell.Result
-		lat := "-"
-		if r.Latency >= 0 {
-			lat = fmt.Sprintf("%.2f", r.Latency)
-		}
-		fmt.Printf("%-14s %9s %7.1f %7d", cell.Buffer, lat, r.Duty*100, r.Cycles)
-		for _, k := range keys {
-			fmt.Printf(" %10.0f", r.Metrics[k])
-		}
-		fmt.Println()
-	}
+	writeResultTable(os.Stdout, st.Cells)
 	return nil
 }
 

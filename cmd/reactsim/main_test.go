@@ -1,10 +1,17 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"react/internal/scenario"
+	"react/internal/service"
 )
 
 // set builds the explicit-flag set the CLI derives from flag.Visit.
@@ -121,5 +128,61 @@ func TestRunExploreSmoke(t *testing.T) {
 	// A malformed space file is a load-time error, not a panic.
 	if err := runExplore(filepath.Join(dir, "missing.json"), "", "", 1, false); err == nil {
 		t.Fatal("missing space file must error")
+	}
+}
+
+// TestResultTableLocalMatchesRemote: a local scenario run and the same
+// spec served by reactd print the same result table, byte for byte, and a
+// remote cell without a result prints as a "-" row.
+func TestResultTableLocalMatchesRemote(t *testing.T) {
+	specJSON := `{
+		"name": "cli-table",
+		"trace": {"gen": "steady", "mean": 0.01, "duration": 20},
+		"workload": {"bench": "SC"},
+		"buffers": [{"preset": "770 µF"}, {"preset": "REACT"}]
+	}`
+	spec, err := scenario.ParseSpec([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := spec.Run(context.Background(), nil, scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local strings.Builder
+	writeResultTable(&local, localCells(spec, run.Results))
+
+	srv, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	client, err := service.Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.Run(context.Background(), service.RunRequest{Spec: json.RawMessage(specJSON)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var remote strings.Builder
+	writeResultTable(&remote, st.Cells)
+	if local.String() != remote.String() {
+		t.Fatalf("local table:\n%s\nremote table:\n%s", local.String(), remote.String())
+	}
+	if lines := strings.Split(local.String(), "\n"); len(lines) != 4 || !strings.Contains(lines[0], "cycles") {
+		t.Fatalf("want a header and two rows, got:\n%s", local.String())
+	}
+
+	st.Cells[1].Result = nil
+	remote.Reset()
+	writeResultTable(&remote, st.Cells)
+	rows := strings.Split(remote.String(), "\n")
+	if want := fmt.Sprintf("%-14s %9s", "REACT", "-"); rows[2] != want {
+		t.Errorf("missing-result row %q, want %q", rows[2], want)
 	}
 }

@@ -5,20 +5,20 @@ import "math"
 // Chain is a set of capacitors connected in series. Terminal charge passes
 // through every member equally; terminal voltage is the sum of member
 // voltages. Members need not hold equal charge — an imbalanced chain is how
-// Morphy-style networks lose energy when later re-paralleled.
+// Morphy-style networks lose energy when later re-paralleled. Build one
+// with NewChain, which caches the series capacitance.
 type Chain struct {
 	Caps []*Capacitor
 
 	// seriesC caches the series-equivalent capacitance. Member capacitances
 	// are fixed for the life of a chain (only charge moves), so NewChain
 	// computes it once; Capacitance is on the simulation's per-tick path.
-	seriesC   float64
-	hasCached bool
+	seriesC float64
 }
 
 // NewChain builds a series chain over caps.
 func NewChain(caps ...*Capacitor) *Chain {
-	return &Chain{Caps: caps, seriesC: seriesCapacitance(caps), hasCached: true}
+	return &Chain{Caps: caps, seriesC: seriesCapacitance(caps)}
 }
 
 func seriesCapacitance(caps []*Capacitor) float64 {
@@ -36,12 +36,7 @@ func seriesCapacitance(caps []*Capacitor) float64 {
 }
 
 // Capacitance returns the series-equivalent capacitance 1/Σ(1/Cᵢ).
-func (ch *Chain) Capacitance() float64 {
-	if ch.hasCached {
-		return ch.seriesC
-	}
-	return seriesCapacitance(ch.Caps)
-}
+func (ch *Chain) Capacitance() float64 { return ch.seriesC }
 
 // Voltage returns the terminal voltage Σ Vᵢ.
 func (ch *Chain) Voltage() float64 {

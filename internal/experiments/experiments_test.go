@@ -239,10 +239,17 @@ func TestRunnerGridMatchesSequentialCells(t *testing.T) {
 	traces := []*trace.Trace{trace.RFCart(1), trace.RFObstructed(1)}
 	buffers := ExtendedBufferNames
 	opt := Options{}
-	g, err := runner.RunGrid(context.Background(), &runner.Runner{Workers: 4},
+	g, err := runner.RunGridBatched(context.Background(), &runner.Runner{Workers: 4},
 		[]string{"RT"}, traces, buffers,
-		func(_ context.Context, bench string, tr *trace.Trace, buf string) (sim.Result, error) {
-			return RunCell(tr, buf, bench, opt)
+		func(_ context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error) {
+			res := make([]sim.Result, len(buffers))
+			for i, buf := range buffers {
+				var err error
+				if res[i], err = RunCell(tr, buf, bench, opt); err != nil {
+					return nil, err
+				}
+			}
+			return res, nil
 		})
 	if err != nil {
 		t.Fatal(err)

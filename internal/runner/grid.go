@@ -124,20 +124,18 @@ func (g *Grid) MeanOverTraces(bench, buffer string, metric func(sim.Result) floa
 	return sum / float64(len(g.Traces))
 }
 
-// CellFunc simulates one grid cell.
-type CellFunc func(ctx context.Context, bench string, tr *trace.Trace, buffer string) (sim.Result, error)
-
 // BatchCellFunc simulates one benchmark × trace group of grid cells — the
 // whole buffer row — in one call, returning results index-parallel to the
 // grid's buffer axis.
 type BatchCellFunc func(ctx context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error)
 
-// RunGridBatched populates a new grid like RunGrid, but dispatches one job
-// per benchmark × trace group instead of one per cell, so a group's buffers
-// can share a single lockstep pass over the trace (scenario.RunBatch). The
-// flat grid layout is buffer-minor, so each group fills one contiguous
-// results stripe. Group errors are labeled with their coordinates; the
-// first failing group in grid order is reported.
+// RunGridBatched populates a new grid over r's worker pool (nil r uses the
+// default pool), dispatching one job per benchmark × trace group so a
+// group's buffers can share a single lockstep pass over the trace
+// (scenario.RunBatch). The flat grid layout is buffer-minor, so each group
+// fills one contiguous results stripe. Group errors are labeled with their
+// benchmark/trace coordinates; the first failing group in grid order is
+// reported.
 func RunGridBatched(ctx context.Context, r *Runner, benchmarks []string, traces []*trace.Trace, buffers []string, group BatchCellFunc) (*Grid, error) {
 	g := NewGrid(benchmarks, traces, buffers)
 	nb := len(buffers)
@@ -152,27 +150,6 @@ func RunGridBatched(ctx context.Context, r *Runner, benchmarks []string, traces 
 			return fmt.Errorf("%s/%s: group returned %d results for %d buffers", bench, tr.Name, len(res), nb)
 		}
 		copy(g.results[gi*nb:(gi+1)*nb], res)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// RunGrid populates a new grid by running cell for every benchmark × trace ×
-// buffer combination over r's worker pool (nil r uses the default pool).
-// Cell errors are labeled with their coordinates; the first failing cell in
-// grid order is reported.
-func RunGrid(ctx context.Context, r *Runner, benchmarks []string, traces []*trace.Trace, buffers []string, cell CellFunc) (*Grid, error) {
-	g := NewGrid(benchmarks, traces, buffers)
-	err := r.Do(ctx, g.Len(), func(ctx context.Context, i int) error {
-		bench, tr, buffer := g.Cell(i)
-		res, err := cell(ctx, bench, tr, buffer)
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", bench, tr.Name, buffer, err)
-		}
-		g.results[i] = res
 		return nil
 	})
 	if err != nil {

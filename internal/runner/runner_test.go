@@ -207,6 +207,20 @@ func burstTrace(name string) *trace.Trace {
 	return tr
 }
 
+// simRow runs a grid row by looping cell over the buffer axis.
+func simRow(cell func(context.Context, string, *trace.Trace, string) (sim.Result, error)) BatchCellFunc {
+	return func(ctx context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error) {
+		res := make([]sim.Result, len(buffers))
+		for i, buf := range buffers {
+			var err error
+			if res[i], err = cell(ctx, bench, tr, buf); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
+	}
+}
+
 // TestRunGridDeterministicAcrossWorkers: the same grid produces bit-equal
 // results whether it runs on one worker or many — the property the dense
 // slice-per-job design guarantees.
@@ -215,12 +229,12 @@ func TestRunGridDeterministicAcrossWorkers(t *testing.T) {
 	traces := []*trace.Trace{burstTrace("b0"), burstTrace("b1")}
 	buffers := []string{"small", "large"}
 
-	ref, err := RunGrid(context.Background(), &Runner{Workers: 1}, benches, traces, buffers, simCell)
+	ref, err := RunGridBatched(context.Background(), &Runner{Workers: 1}, benches, traces, buffers, simRow(simCell))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		g, err := RunGrid(context.Background(), &Runner{Workers: workers}, benches, traces, buffers, simCell)
+		g, err := RunGridBatched(context.Background(), &Runner{Workers: workers}, benches, traces, buffers, simRow(simCell))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,21 +255,34 @@ func TestRunGridDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunGridErrorLabelsCell: a failing cell's error carries its grid
-// coordinates.
+// TestRunGridErrorLabelsCell: a failing row's error carries its grid
+// coordinates, and a row that returns the wrong number of results is an
+// error rather than a short stripe.
 func TestRunGridErrorLabelsCell(t *testing.T) {
 	traces := []*trace.Trace{burstTrace("b0")}
-	_, err := RunGrid(context.Background(), nil, []string{"DE"}, traces, []string{"small", "bad"},
-		func(ctx context.Context, bench string, tr *trace.Trace, buf string) (sim.Result, error) {
-			if buf == "bad" {
-				return sim.Result{}, errors.New("no such buffer")
-			}
-			return simCell(ctx, bench, tr, buf)
-		})
-	if err == nil {
-		t.Fatal("want error from failing cell")
+	buffers := []string{"small", "bad"}
+	failing := simRow(func(ctx context.Context, bench string, tr *trace.Trace, buf string) (sim.Result, error) {
+		if buf == "bad" {
+			return sim.Result{}, errors.New("no such buffer")
+		}
+		return simCell(ctx, bench, tr, buf)
+	})
+	short := func(ctx context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error) {
+		return simRow(simCell)(ctx, bench, tr, buffers[:1])
 	}
-	if want := "DE/b0/bad: no such buffer"; err.Error() != want {
-		t.Errorf("error %q, want %q", err, want)
+	for _, tc := range []struct {
+		name string
+		row  BatchCellFunc
+		want string
+	}{
+		{"failing cell", failing, "DE/b0: no such buffer"},
+		{"short row", short, "DE/b0: group returned 1 results for 2 buffers"},
+	} {
+		_, err := RunGridBatched(context.Background(), nil, []string{"DE"}, traces, buffers, tc.row)
+		if err == nil {
+			t.Errorf("%s: want error", tc.name)
+		} else if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -17,20 +17,6 @@ type BatchItem struct {
 	Buffer int
 }
 
-// dt resolves the effective integration timestep for a spec, including the
-// engine's 1 ms default, so batch compatibility is judged on the value the
-// engine will actually step with.
-func (o RunOptions) dt(s *Spec) float64 {
-	dt := o.DT
-	if dt == 0 {
-		dt = s.DT
-	}
-	if dt <= 0 {
-		dt = 1e-3
-	}
-	return dt
-}
-
 // RunBatch materializes and simulates the given cells in lockstep over one
 // shared trace pass (sim.RunBatch): the trace is built once and sampled
 // once per tick for the whole batch. All items must agree on the batch
@@ -40,9 +26,10 @@ func (o RunOptions) dt(s *Spec) float64 {
 // buffer, tail cap) is per-cell and may differ across specs.
 //
 // Results are index-parallel to items and bit-identical to running every
-// cell alone through Cell: the trace content is deterministic in the seed,
-// and the lockstep executor preserves the reference loop's arithmetic
-// exactly. st, when non-nil, accumulates the executor's tick accounting.
+// cell alone (Cell is the one-item batch): the trace content is
+// deterministic in the seed, and the lockstep executor preserves the
+// reference loop's arithmetic exactly. st, when non-nil, accumulates the
+// executor's tick accounting.
 func RunBatch(items []BatchItem, opt RunOptions, st *sim.Stats) ([]sim.Result, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -57,7 +44,7 @@ func RunBatch(items []BatchItem, opt RunOptions, st *sim.Stats) ([]sim.Result, e
 		return nil, fmt.Errorf("scenario %s: %w", s0.Name, err)
 	}
 	seed := opt.seed(s0)
-	dt := opt.dt(s0)
+	dt := s0.ResolveDT(opt.DT)
 	for _, it := range items {
 		s := it.Spec
 		if it.Buffer < 0 || it.Buffer >= len(s.Buffers) {
@@ -67,7 +54,7 @@ func RunBatch(items []BatchItem, opt RunOptions, st *sim.Stats) ([]sim.Result, e
 			return nil, fmt.Errorf("scenario %s: batch mixes seeds %d and %d", s.Name, seed, sd)
 		}
 		//lint:reactlint-ignore dtarith the batch key is exact identity: nearly-equal timesteps must not share a lockstep pass
-		if d := opt.dt(s); d != dt {
+		if d := s.ResolveDT(opt.DT); d != dt {
 			return nil, fmt.Errorf("scenario %s: batch mixes timesteps %g and %g", s.Name, dt, d)
 		}
 		if s.Trace != s0.Trace {

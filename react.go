@@ -489,8 +489,9 @@ type (
 	RunProgress = runner.Progress
 	// ResultGrid is a dense benchmark × trace × buffer result store.
 	ResultGrid = runner.Grid
-	// GridCellFunc simulates one cell of a result grid.
-	GridCellFunc = runner.CellFunc
+	// GridRowFunc simulates one benchmark × trace row of a result grid,
+	// returning results index-parallel to the buffer axis.
+	GridRowFunc = runner.BatchCellFunc
 )
 
 // NewResultGrid builds an empty dense result grid over the given axes.
@@ -498,11 +499,11 @@ func NewResultGrid(benchmarks []string, traces []*Trace, buffers []string) *Resu
 	return runner.NewGrid(benchmarks, traces, buffers)
 }
 
-// RunGrid populates a result grid by running cell for every benchmark ×
-// trace × buffer combination over r's worker pool (nil r uses the default
-// pool sized to GOMAXPROCS).
-func RunGrid(ctx context.Context, r *Runner, benchmarks []string, traces []*Trace, buffers []string, cell GridCellFunc) (*ResultGrid, error) {
-	return runner.RunGrid(ctx, r, benchmarks, traces, buffers, cell)
+// RunGrid populates a result grid by running row for every benchmark ×
+// trace combination over r's worker pool (nil r uses the default pool
+// sized to GOMAXPROCS); each row simulates the whole buffer axis.
+func RunGrid(ctx context.Context, r *Runner, benchmarks []string, traces []*Trace, buffers []string, row GridRowFunc) (*ResultGrid, error) {
+	return runner.RunGridBatched(ctx, r, benchmarks, traces, buffers, row)
 }
 
 // Sweep runs fn once per point over r's worker pool and returns the results
