@@ -26,7 +26,10 @@
 //
 //	GET    /scenarios    list the registry (names, buffers, fingerprints)
 //	POST   /runs         submit: {"scenario":"energy-attack"} or {"spec":{...}}
-//	GET    /runs/{id}    poll status and (partial) per-buffer results
+//	GET    /runs/{id}    poll status and (partial) per-buffer results;
+//	                     ?wait=15s (on any view's GET) holds the request
+//	                     until the view finishes, ?wait=15s&since=<its
+//	                     X-View-Version> until it changes; 60 s at most
 //	DELETE /runs/{id}    cancel an in-flight run / forget a finished one
 //	POST   /sweeps       submit: {"scenario":"...","seed_from":1,"seed_to":50,
 //	                     "dts":[...],"buffers":[...]} (or an inline "spec")
@@ -64,7 +67,7 @@
 // covering grid — or after any sweep or run over the same cells —
 // performs zero new simulations, and their results are bit-identical to
 // `reactsim -explore` for the same space. SIGINT/SIGTERM drain in-flight
-// work before exit.
+// work before exit; parked long-polls answer at once when the drain begins.
 package main
 
 import (
@@ -98,6 +101,16 @@ func newHTTPServer(addr string, h http.Handler, readHeader time.Duration) *http.
 		WriteTimeout:      120 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
+}
+
+// newDaemonServer is newHTTPServer for the service: h is srv, or a mux
+// around it. Shutdown waits for active handlers, and a parked long-poll
+// (GET ?wait=) is one, so shutdown first releases srv's waiters — the
+// drain then waits for real requests only, not for their waits.
+func newDaemonServer(addr string, srv *service.Server, h http.Handler, readHeader time.Duration) *http.Server {
+	hs := newHTTPServer(addr, h, readHeader)
+	hs.RegisterOnShutdown(srv.ReleaseWaiters)
+	return hs
 }
 
 func main() {
@@ -158,7 +171,7 @@ func main() {
 		mux.Handle("/", srv)
 		handler = mux
 	}
-	httpSrv := newHTTPServer(*addr, handler, 10*time.Second)
+	httpSrv := newDaemonServer(*addr, srv, handler, 10*time.Second)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -17,10 +17,16 @@ import (
 
 // DefaultRequestTimeout bounds each HTTP request a Client issues unless
 // WithRequestTimeout overrides it. Every request is individually bounded:
-// a hung or stalled daemon fails the call instead of pinning it forever
-// (Wait's polling loop then surfaces the error). The caller's context can
-// always impose a shorter deadline.
+// a hung or stalled daemon fails the call instead of pinning it forever,
+// and Wait surfaces the error. Wait's long-polls ask the server to hold
+// them for half this bound, so a held request always answers inside it.
+// The caller's context can always impose a shorter deadline.
 const DefaultRequestTimeout = 30 * time.Second
+
+// pollGap spaces Wait's requests when the server answers a long-poll
+// early with an unfinished view: a server that ignores ?wait= (an older
+// node), a full waiter pool, or a cancelled view still draining.
+const pollGap = 100 * time.Millisecond
 
 // Client talks to a reactd server. Create with Dial; the zero value is not
 // usable. A Client is safe for concurrent use.
@@ -299,30 +305,39 @@ func (r *Remote[S, PS]) Trace(ctx context.Context) (*TraceResponse, error) {
 	return &tr, nil
 }
 
-// Wait polls until the view reaches a terminal state. A failed or
-// cancelled view returns its final status alongside an error.
+// Wait blocks until the view reaches a terminal state. Each request is a
+// long-poll (GET ?wait=) that the server holds until the view finishes or
+// the wait runs out, so Wait returns when the view does, usually after one
+// request. A failed or cancelled view returns its final status alongside
+// an error.
 func (r *Remote[S, PS]) Wait(ctx context.Context) (PS, error) {
 	if r.Submitted != nil {
 		if _, status, _ := r.Submitted.head(); Terminal(status) {
 			return r.finish(r.Submitted)
 		}
 	}
-	delay := 10 * time.Millisecond
+	wait := maxViewWait
+	if r.c.reqTimeout > 0 {
+		wait = min(r.c.reqTimeout/2, maxViewWait)
+	}
+	path := r.path() + "?wait=" + url.QueryEscape(wait.String())
 	for {
-		st, err := r.Poll(ctx)
-		if err != nil {
+		sent := time.Now()
+		st := PS(new(S))
+		if err := r.c.do(ctx, http.MethodGet, path, nil, st); err != nil {
 			return nil, err
 		}
 		if _, status, _ := st.head(); Terminal(status) {
 			return r.finish(st)
 		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 500*time.Millisecond {
-			delay += delay / 2
+		if time.Since(sent) < wait {
+			// Answered early with the view unfinished: the server did not
+			// hold the request, so pace the next one instead of spinning.
+			select {
+			case <-ctx.Done():
+				return st, ctx.Err()
+			case <-time.After(pollGap):
+			}
 		}
 	}
 }

@@ -42,6 +42,10 @@ import (
 // Config.PeerTimeout is zero.
 const DefaultPeerTimeout = 5 * time.Second
 
+// peerCancelTimeout bounds the best-effort DELETE of an abandoned run on
+// its owner. It needs its own bound: the fetch's context is already done.
+const peerCancelTimeout = time.Second
+
 // cluster is the resolved static ring.
 type cluster struct {
 	self    string             // this node's advertised base URL
@@ -152,7 +156,7 @@ func (s *Server) startPeerGroup(owner string, members []pendingCell, opt scenari
 // startPeerBatch submits one group of same-spec cells to their owner and
 // feeds the results back in as cell completions. Each member's cancel
 // releases only that member; when every member is released the fetch is
-// abandoned (and the remote run cancelled, best-effort). Transport-level
+// abandoned and runOnPeer cancels the owner's run, best-effort. Transport-level
 // failure retries once and then degrades to local simulation — the cells
 // re-enter the local scheduler as one batch. Called with s.mu held.
 func (s *Server) startPeerBatch(owner string, spec *scenario.Spec, group []pendingCell, opt scenario.RunOptions) {
@@ -283,12 +287,26 @@ func (s *Server) fetchFromPeer(ctx context.Context, owner string, spec *scenario
 // remotely failed run is a valid terminal answer (its per-cell errors are
 // authoritative); a remotely cancelled one — someone deleted our view on
 // the owner — is a transport-level error so the caller retries afresh.
+// When ctx ends first, the fetch is abandoned and the owner's run is
+// cancelled, so the owner stops simulating cells nobody wants.
 func runOnPeer(ctx context.Context, client *Client, req RunRequest) (*RunStatus, error) {
-	rr, err := client.RunAsync(ctx, req)
+	// The submission itself runs to its answer (under the client's request
+	// bound) even if ctx ends meanwhile: a run the owner accepted must have
+	// a known id to cancel.
+	rr, err := client.RunAsync(context.WithoutCancel(ctx), req)
 	if err != nil {
 		return nil, err
 	}
 	st, werr := rr.Wait(ctx)
+	if ctx.Err() != nil && (st == nil || !Terminal(st.Status)) {
+		// DELETE of a run that finished meanwhile forgets it instead; its
+		// cells then re-simulate on the owner's next miss, and no result
+		// changes.
+		cctx, cancel := context.WithTimeout(context.Background(), peerCancelTimeout)
+		rr.Cancel(cctx)
+		cancel()
+		return nil, ctx.Err()
+	}
 	if st == nil {
 		return nil, werr
 	}

@@ -257,3 +257,53 @@ func TestNoForwardPinsCells(t *testing.T) {
 		t.Errorf("node B simulated %d cells for A's pinned run", mb.SimsCompleted)
 	}
 }
+
+// TestCancelForwardedViewCancelsOwnerRun: cancelling a view on node A
+// abandons its forwarded cells, and A cancels the run it submitted to
+// their owner, so the owner stops simulating cells nobody wants.
+func TestCancelForwardedViewCancelsOwnerRun(t *testing.T) {
+	nodes := newTestCluster(t, 2, Config{Workers: 1})
+	a, b := nodes[0], nodes[1]
+	ctx := context.Background()
+
+	var seed uint64
+	for s := uint64(1); s <= 32 && seed == 0; s++ {
+		if ownerCounts(t, []string{a.url, b.url}, []uint64{s})[b.url] > 0 {
+			seed = s
+		}
+	}
+	if seed == 0 {
+		t.Fatal("no seed in 1..32 puts a cell on node B")
+	}
+	// B's only worker is pinned, so the forwarded run queues there.
+	started := make(chan int, 1)
+	release := make(chan struct{})
+	mustUnblock(t, release)
+	b.srv.Submit(blockerSpec(started, release), scenario.RunOptions{})
+	<-started
+
+	rr, err := a.client.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fwd string
+	waitFor(t, "the forwarded run on B", func() bool {
+		b.srv.mu.Lock()
+		defer b.srv.mu.Unlock()
+		for id, v := range b.srv.views {
+			if v.kind == runKind && v.noFwd {
+				fwd = id
+			}
+		}
+		return fwd != ""
+	})
+	if err := rr.Cancel(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	st, _ := (&RemoteRun{c: b.client, ID: fwd}).Wait(wctx)
+	if st == nil || st.Status != StatusCanceled {
+		t.Fatalf("owner's forwarded run after the cancel on A: %+v, want canceled", st)
+	}
+}

@@ -17,13 +17,13 @@
 //
 //	GET    /scenarios         registry listing with fingerprints
 //	POST   /runs              submit a run (named scenario or inline spec)
-//	GET    /runs/{id}         poll status and (partial) results
+//	GET    /runs/{id}         poll status and (partial) results; ?wait= long-polls
 //	DELETE /runs/{id}         cancel an in-flight run / forget a finished one
 //	POST   /sweeps            submit a sweep: spec × seed list/range × dt axis × buffer subset
-//	GET    /sweeps/{id}       poll per-cell results and the per-axis summary
+//	GET    /sweeps/{id}       poll per-cell results and the per-axis summary; ?wait= long-polls
 //	DELETE /sweeps/{id}       cancel an in-flight sweep / forget a finished one
 //	POST   /explorations      submit a design-space exploration (explore.Space)
-//	GET    /explorations/{id} poll probed cells and, once drained, the result
+//	GET    /explorations/{id} poll probed cells and, once drained, the result; ?wait= long-polls
 //	DELETE /explorations/{id} cancel an in-flight exploration / forget a finished one
 //	GET    /metrics           Prometheus text exposition (JSON via Accept: application/json)
 //	GET    /metrics.json      the JSON metrics report, unconditionally
@@ -33,6 +33,12 @@
 // /sweeps/{id}/trace, /explorations/{id}/trace — assembling the submission's
 // span tree, merged across cluster peers so a forwarded exploration renders
 // as one tree however many nodes simulated its cells.
+//
+// Every GET of a view carries its progress version in the X-View-Version
+// header. GET ?wait=<dur> holds the request (up to 60 s) until the view
+// finishes or is cancelled, and ?wait=<dur>&since=<version> until its
+// version moves; either answers with exactly the body a plain GET would
+// write.
 //
 // Every submission is traced: a root span is minted at submit (or adopted
 // from the client's traceparent header), batch groups and cell simulations
@@ -158,6 +164,14 @@ type Server struct {
 	hDiskPut    *obs.Histogram // disk-tier write-through latency
 	hDiskGet    *obs.Histogram // disk-tier promote-read latency
 
+	// Long-poll bounds and accounting (wait.go). released closes once, when
+	// the server stops holding long-polls.
+	released     chan struct{}
+	releaseOnce  sync.Once
+	waiterCap    int
+	waiters      atomic.Int64 // parked now
+	waitsRefused *obs.Counter
+
 	// mu guards the stores below and every cell/view list-membership and
 	// refcount field. Lock order: mu before view.mu.
 	mu      sync.Mutex
@@ -173,6 +187,9 @@ type Server struct {
 	// them by (trace, seed, dt) batch key so cells sharing a trace pass
 	// run in lockstep (scenario.RunBatch) instead of one pass each.
 	pending []pendingCell
+	// progress is the long-poll broadcast (wait.go): closed and cleared by
+	// notifyLocked at every change of view state; nil while nobody waits.
+	progress chan struct{}
 }
 
 // pendingCell is one fresh cell awaiting batch scheduling. noFwd pins the
@@ -365,6 +382,8 @@ func New(cfg Config) (*Server, error) {
 		cellLRU:    list.New(),
 		viewLRU:    list.New(),
 		junk:       list.New(),
+		released:   make(chan struct{}),
+		waiterCap:  maxViewWaiters,
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
@@ -428,6 +447,7 @@ func (s *Server) initObs() {
 	s.peerRetries = r.Counter("react_peer_retries_total", "Peer submissions retried after a transport failure.")
 	s.peerFallbacks = r.Counter("react_peer_fallbacks_total", "Peer fan-outs degraded to local simulation.")
 	s.peerCells = r.Counter("react_peer_cells_total", "Cells answered by cluster peers.")
+	s.waitsRefused = r.Counter("react_view_waits_refused_total", "Long-poll GETs answered at once because the waiter cap was reached.")
 
 	s.hCellSim = r.Histogram("react_cell_sim_duration_seconds",
 		"Wall time of the lockstep batch pass that produced each locally simulated cell (observed once per successful cell).",
@@ -467,6 +487,9 @@ func (s *Server) initObs() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(s.cellLRU.Len())
+	})
+	r.GaugeFunc("react_view_waiters", "Long-poll GETs parked now.", func() float64 {
+		return float64(s.waiters.Load())
 	})
 	r.GaugeFunc("react_dropped_spans", "Spans dropped by span-store bounds.", func() float64 {
 		return float64(s.spans.Dropped())
@@ -530,9 +553,11 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Close cancels every in-flight cell and waits for the workers to drain.
-// The HTTP listener (if any) is the caller's to shut down first.
+// Close releases parked long-polls, cancels every in-flight cell and
+// waits for the workers to drain. The HTTP listener (if any) is the
+// caller's to shut down first.
 func (s *Server) Close() {
+	s.ReleaseWaiters()
 	s.shutdown()
 	s.jobs.Wait()
 }
@@ -827,6 +852,7 @@ func (s *Server) completeCell(c *cell, res sim.Result, err error, origin int, du
 	}
 	close(c.done)
 	s.cellsDone.Add(1)
+	s.notifyLocked()
 }
 
 // cacheCellLocked files a terminal successful cell in the LRU and evicts
@@ -921,6 +947,7 @@ func (s *Server) addCell(v *view, spec *scenario.Spec, i int, opt scenario.RunOp
 	case cellFresh:
 		v.newCells++
 	}
+	s.notifyLocked()
 	return c
 }
 
@@ -991,6 +1018,7 @@ func (s *Server) finalizeLocked(v *view) {
 	v.errMsg = errMsg
 	v.finished = time.Now()
 	v.mu.Unlock()
+	s.notifyLocked()
 	v.root.SetAttr("status", status)
 	if status == StatusDone {
 		v.root.End(nil)
@@ -1510,12 +1538,28 @@ func (s *Server) lookupView(w http.ResponseWriter, req *http.Request, kind *view
 	return v
 }
 
-// handleGet serves a view's current status.
+// handleGet serves a view's current status, with its progress version in
+// the X-View-Version header. ?wait= first holds the request until the view
+// has news (wait.go).
 func (s *Server) handleGet(kind *viewKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		if v := s.lookupView(w, req, kind); v != nil {
-			writeJSON(w, http.StatusOK, kind.status(v))
+		wait, since, hasSince, err := parseWait(req.URL.Query())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
+		v := s.lookupView(w, req, kind)
+		if v == nil {
+			return
+		}
+		if wait > 0 {
+			s.awaitView(req.Context(), v, wait, since, hasSince)
+		}
+		// The version is read before the body's snapshot, so it never
+		// claims news the body does not carry.
+		version, _ := v.progress()
+		w.Header().Set(viewVersionHeader, version)
+		writeJSON(w, http.StatusOK, kind.status(v))
 	}
 }
 
@@ -1548,6 +1592,7 @@ func (s *Server) handleDelete(kind *viewKind) http.HandlerFunc {
 				delete(s.byFP, v.fp)
 			}
 			s.releaseCellsLocked(v)
+			s.notifyLocked()
 		} else {
 			s.forgetView(v)
 		}

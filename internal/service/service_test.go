@@ -32,6 +32,9 @@ func newTestService(t *testing.T, cfg Config) (*Server, *Client) {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
+		// ts.Close waits for every request in flight, parked long-polls
+		// included: release them first.
+		srv.ReleaseWaiters()
 		ts.Close()
 		srv.Close()
 	})

@@ -80,7 +80,9 @@ func wireWait(t *testing.T, srv *Server, path string) {
 // decode-error bodies of the three POSTs, and the wrong-kind lookups of
 // each id under the other kinds' paths. Ids, trace ids and timestamps are
 // normalised; everything else — field order, omitted fields, indentation,
-// result numbers — compares byte for byte. Regenerate with -update.
+// result numbers — compares byte for byte. A long-poll GET of each finished
+// view must answer at once with the plain GET's bytes. Regenerate with
+// -update.
 func TestWireGolden(t *testing.T) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {
@@ -170,6 +172,19 @@ func TestWireGolden(t *testing.T) {
 	check("run_post_cached", http.MethodPost, "/runs", `{"spec": `+wireSpec+`, "seed": 1}`, http.StatusOK, false)
 	check("sweep_get", http.MethodGet, "/sweeps/"+sweepID, "", http.StatusOK, false)
 	check("exploration_get", http.MethodGet, "/explorations/"+exploreID, "", http.StatusOK, false)
+	// A long-poll of a finished view answers at once, with exactly the
+	// bytes of the plain GET the goldens above pin.
+	for _, path := range []string{"/runs/" + runID, "/sweeps/" + sweepID, "/explorations/" + exploreID} {
+		_, plain := wireExchange(t, srv, http.MethodGet, path, "")
+		start := time.Now()
+		code, held := wireExchange(t, srv, http.MethodGet, path+"?wait=30s", "")
+		if code != http.StatusOK || held != plain {
+			t.Errorf("GET %s?wait=30s = %d, body differs from the plain GET:\n%s\n%s", path, code, held, plain)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("GET %s?wait=30s of a finished view held %v", path, took)
+		}
+	}
 
 	// Decode errors.
 	check("run_decode_error", http.MethodPost, "/runs", `{"bogus": 1}`, http.StatusBadRequest, false)
