@@ -282,8 +282,14 @@ func (r *Remote[S, PS]) path() string {
 // while the rest are still simulating; a sweep's summary rows and an
 // exploration's Result appear once it is done.
 func (r *Remote[S, PS]) Poll(ctx context.Context) (PS, error) {
+	return r.get(ctx, "")
+}
+
+// get fetches and decodes the view's status, with query (e.g. "?wait=15s")
+// appended to its URL.
+func (r *Remote[S, PS]) get(ctx context.Context, query string) (PS, error) {
 	st := PS(new(S))
-	if err := r.c.do(ctx, http.MethodGet, r.path(), nil, st); err != nil {
+	if err := r.c.do(ctx, http.MethodGet, r.path()+query, nil, st); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -320,11 +326,11 @@ func (r *Remote[S, PS]) Wait(ctx context.Context) (PS, error) {
 	if r.c.reqTimeout > 0 {
 		wait = min(r.c.reqTimeout/2, maxViewWait)
 	}
-	path := r.path() + "?wait=" + url.QueryEscape(wait.String())
+	query := "?wait=" + url.QueryEscape(wait.String())
 	for {
 		sent := time.Now()
-		st := PS(new(S))
-		if err := r.c.do(ctx, http.MethodGet, path, nil, st); err != nil {
+		st, err := r.get(ctx, query)
+		if err != nil {
 			return nil, err
 		}
 		if _, status, _ := st.head(); Terminal(status) {

@@ -44,6 +44,7 @@ const DefaultPeerTimeout = 5 * time.Second
 
 // peerCancelTimeout bounds the best-effort DELETE of an abandoned run on
 // its owner. It needs its own bound: the fetch's context is already done.
+// Closing the server cuts it short (runOnPeer), so it never holds Close.
 const peerCancelTimeout = time.Second
 
 // cluster is the resolved static ring.
@@ -253,10 +254,10 @@ func (s *Server) fetchFromPeer(ctx context.Context, owner string, spec *scenario
 
 	s.peerRequests.Add(1)
 	began := time.Now()
-	st, err := runOnPeer(ctx, client, req)
+	st, err := s.runOnPeer(ctx, client, req)
 	if err != nil && ctx.Err() == nil {
 		s.peerRetries.Add(1)
-		st, err = runOnPeer(ctx, client, req)
+		st, err = s.runOnPeer(ctx, client, req)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -288,12 +289,18 @@ func (s *Server) fetchFromPeer(ctx context.Context, owner string, spec *scenario
 // authoritative); a remotely cancelled one — someone deleted our view on
 // the owner — is a transport-level error so the caller retries afresh.
 // When ctx ends first, the fetch is abandoned and the owner's run is
-// cancelled, so the owner stops simulating cells nobody wants.
-func runOnPeer(ctx context.Context, client *Client, req RunRequest) (*RunStatus, error) {
-	// The submission itself runs to its answer (under the client's request
-	// bound) even if ctx ends meanwhile: a run the owner accepted must have
-	// a known id to cancel.
-	rr, err := client.RunAsync(context.WithoutCancel(ctx), req)
+// cancelled, so the owner stops simulating cells nobody wants. The run is
+// private to this forward on the owner (submit), so the cancel touches no
+// one else's run.
+func (s *Server) runOnPeer(ctx context.Context, client *Client, req RunRequest) (*RunStatus, error) {
+	// The submission and the cancel run under the server's lifetime, not
+	// the fetch's: a run the owner accepted must have a known id to cancel,
+	// so abandoning the fetch does not cut the submission short. Closing
+	// the server does, and skips the cancel.
+	sctx, stop := context.WithCancel(context.WithoutCancel(ctx))
+	defer stop()
+	defer context.AfterFunc(s.ctx, stop)()
+	rr, err := client.RunAsync(sctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -302,9 +309,11 @@ func runOnPeer(ctx context.Context, client *Client, req RunRequest) (*RunStatus,
 		// DELETE of a run that finished meanwhile forgets it instead; its
 		// cells then re-simulate on the owner's next miss, and no result
 		// changes.
-		cctx, cancel := context.WithTimeout(context.Background(), peerCancelTimeout)
-		rr.Cancel(cctx)
-		cancel()
+		if sctx.Err() == nil {
+			cctx, cancel := context.WithTimeout(sctx, peerCancelTimeout)
+			rr.Cancel(cctx)
+			cancel()
+		}
 		return nil, ctx.Err()
 	}
 	if st == nil {

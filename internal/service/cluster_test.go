@@ -258,13 +258,14 @@ func TestNoForwardPinsCells(t *testing.T) {
 	}
 }
 
-// TestCancelForwardedViewCancelsOwnerRun: cancelling a view on node A
-// abandons its forwarded cells, and A cancels the run it submitted to
-// their owner, so the owner stops simulating cells nobody wants.
-func TestCancelForwardedViewCancelsOwnerRun(t *testing.T) {
+// forwardToBusyOwner boots a two-node ring, pins node B's only worker,
+// and submits on node A a run with a cell owned by B, so the forwarded run
+// queues on B. It returns node B, A's run, the forwarded run's id on B,
+// and the function that frees B's worker.
+func forwardToBusyOwner(t *testing.T) (b *testNode, rr *RemoteRun, fwd string, unblock func()) {
+	t.Helper()
 	nodes := newTestCluster(t, 2, Config{Workers: 1})
 	a, b := nodes[0], nodes[1]
-	ctx := context.Background()
 
 	var seed uint64
 	for s := uint64(1); s <= 32 && seed == 0; s++ {
@@ -275,18 +276,16 @@ func TestCancelForwardedViewCancelsOwnerRun(t *testing.T) {
 	if seed == 0 {
 		t.Fatal("no seed in 1..32 puts a cell on node B")
 	}
-	// B's only worker is pinned, so the forwarded run queues there.
 	started := make(chan int, 1)
 	release := make(chan struct{})
-	mustUnblock(t, release)
+	unblock = mustUnblock(t, release)
 	b.srv.Submit(blockerSpec(started, release), scenario.RunOptions{})
 	<-started
 
-	rr, err := a.client.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec), Seed: seed})
+	rr, err := a.client.RunAsync(context.Background(), RunRequest{Spec: json.RawMessage(fastSpec), Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fwd string
 	waitFor(t, "the forwarded run on B", func() bool {
 		b.srv.mu.Lock()
 		defer b.srv.mu.Unlock()
@@ -297,6 +296,15 @@ func TestCancelForwardedViewCancelsOwnerRun(t *testing.T) {
 		}
 		return fwd != ""
 	})
+	return b, rr, fwd, unblock
+}
+
+// TestCancelForwardedViewCancelsOwnerRun: cancelling a view on node A
+// abandons its forwarded cells, and A cancels the run it submitted to
+// their owner, so the owner stops simulating cells nobody wants.
+func TestCancelForwardedViewCancelsOwnerRun(t *testing.T) {
+	b, rr, fwd, _ := forwardToBusyOwner(t)
+	ctx := context.Background()
 	if err := rr.Cancel(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -305,5 +313,57 @@ func TestCancelForwardedViewCancelsOwnerRun(t *testing.T) {
 	st, _ := (&RemoteRun{c: b.client, ID: fwd}).Wait(wctx)
 	if st == nil || st.Status != StatusCanceled {
 		t.Fatalf("owner's forwarded run after the cancel on A: %+v, want canceled", st)
+	}
+}
+
+// TestCancelForwardedViewSparesSharedRuns: a forwarded run is private on
+// its owner. A direct run of the same spec and seed on the owner, and a
+// second forward of them, get runs of their own that share its cells, so
+// node A's cancel leaves both running and both finish done.
+func TestCancelForwardedViewSparesSharedRuns(t *testing.T) {
+	b, rr, fwd, unblock := forwardToBusyOwner(t)
+	ctx := context.Background()
+
+	b.srv.mu.Lock()
+	spec, opt := b.srv.views[fwd].spec, b.srv.views[fwd].opt
+	b.srv.mu.Unlock()
+	direct := b.srv.Submit(spec, opt)
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := b.client.RunAsync(ctx, RunRequest{Spec: data, Seed: opt.Seed, DT: opt.DT, NoForward: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{direct.ID, other.ID} {
+		if id == fwd {
+			t.Fatalf("a submission on B joined the forwarded run %s", fwd)
+		}
+	}
+
+	if err := rr.Cancel(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b.srv.mu.Lock()
+	fv := b.srv.views[fwd]
+	b.srv.mu.Unlock()
+	waitFor(t, "A's cancel of the forwarded run", func() bool {
+		fv.mu.Lock()
+		defer fv.mu.Unlock()
+		return fv.canceled
+	})
+	// The forwarded run drains with the cells it shares; once B's worker
+	// goes, it ends canceled and the runs sharing its cells end done.
+	unblock()
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if st, _ := (&RemoteRun{c: b.client, ID: fwd}).Wait(wctx); st == nil || st.Status != StatusCanceled {
+		t.Errorf("forwarded run after the cancel on A: %+v, want canceled", st)
+	}
+	for _, id := range []string{direct.ID, other.ID} {
+		if st, err := (&RemoteRun{c: b.client, ID: id}).Wait(wctx); err != nil || st.Status != StatusDone {
+			t.Errorf("run %s sharing the forwarded run's cells: %v, want done", id, err)
+		}
 	}
 }

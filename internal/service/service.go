@@ -171,13 +171,20 @@ type Server struct {
 	waiterCap    int
 	waiters      atomic.Int64 // parked now
 	waitsRefused *obs.Counter
+	// progress is the long-poll broadcast: closed and cleared by notify at
+	// every change of view state; nil while nobody waits. It is an atomic
+	// pointer, not guarded by mu, so a waiter re-arms without the lock the
+	// cell path holds. progressGen counts the broadcasts; it keys each
+	// view's memoized version.
+	progress    atomic.Pointer[chan struct{}]
+	progressGen atomic.Uint64
 
 	// mu guards the stores below and every cell/view list-membership and
 	// refcount field. Lock order: mu before view.mu.
 	mu      sync.Mutex
 	seq     int
 	views   map[string]*view // every tracked view, by id
-	byFP    map[string]*view // whole-run single-flight index: running or done runs
+	byFP    map[string]*view // whole-run single-flight index: running or done runs, not forwarded ones
 	cells   map[string]*cell // cell single-flight index: running or cached cells
 	cellLRU *list.List       // cached done cells, most recently used first
 	viewLRU *list.List       // done views kept for polling/dedup, MRU first
@@ -187,9 +194,6 @@ type Server struct {
 	// them by (trace, seed, dt) batch key so cells sharing a trace pass
 	// run in lockstep (scenario.RunBatch) instead of one pass each.
 	pending []pendingCell
-	// progress is the long-poll broadcast (wait.go): closed and cleared by
-	// notifyLocked at every change of view state; nil while nobody waits.
-	progress chan struct{}
 }
 
 // pendingCell is one fresh cell awaiting batch scheduling. noFwd pins the
@@ -320,8 +324,11 @@ type view struct {
 	// not to the view's own mutex below.
 	detached bool
 
-	mu       sync.Mutex // guards canceled and viewState
+	mu       sync.Mutex // guards canceled, the version memo and viewState
 	canceled bool
+	// verMemo is the progress version as of broadcast verGen (wait.go).
+	verGen  uint64
+	verMemo string
 	viewState
 }
 
@@ -852,7 +859,7 @@ func (s *Server) completeCell(c *cell, res sim.Result, err error, origin int, du
 	}
 	close(c.done)
 	s.cellsDone.Add(1)
-	s.notifyLocked()
+	s.notify()
 }
 
 // cacheCellLocked files a terminal successful cell in the LRU and evicts
@@ -947,7 +954,7 @@ func (s *Server) addCell(v *view, spec *scenario.Spec, i int, opt scenario.RunOp
 	case cellFresh:
 		v.newCells++
 	}
-	s.notifyLocked()
+	s.notify()
 	return c
 }
 
@@ -1018,7 +1025,7 @@ func (s *Server) finalizeLocked(v *view) {
 	v.errMsg = errMsg
 	v.finished = time.Now()
 	v.mu.Unlock()
-	s.notifyLocked()
+	s.notify()
 	v.root.SetAttr("status", status)
 	if status == StatusDone {
 		v.root.End(nil)
@@ -1089,14 +1096,19 @@ func (s *Server) Submit(spec *scenario.Spec, opt scenario.RunOptions) *RunStatus
 // .NoForward): a forwarded run's fresh cells never forward again. parent,
 // when valid, nests the run's root span under the submitter's trace (the
 // HTTP layer fills it from the traceparent header).
+//
+// A noFwd run is private: it neither joins nor enters the whole-run
+// index, so the forwarder's cancel of it (runOnPeer) never cancels or
+// forgets a run another client holds. Its cells are still shared per cell.
 func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool, parent obs.SpanContext) *RunStatus {
 	s.submitted.Add(1)
 	// A spec with no canonical encoding (Go-only constructors) still runs;
 	// it just cannot be deduplicated or cached.
 	fp, _ := spec.FingerprintRun(opt)
+	shared := fp != "" && !noFwd
 
 	s.mu.Lock()
-	if v := s.byFP[fp]; fp != "" && v != nil {
+	if v := s.byFP[fp]; shared && v != nil {
 		// A failed or cancelled run should have left the index; anything
 		// but done or running falls through and replaces it.
 		if status := v.snapshot().status; status == StatusDone || status == StatusRunning {
@@ -1133,7 +1145,7 @@ func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool
 	default:
 		s.hits.Add(1)
 	}
-	if fp != "" {
+	if shared {
 		s.byFP[fp] = v
 	}
 	cached, coalesced := v.newCells == 0 && v.coalescedCells == 0, v.newCells == 0 && v.coalescedCells > 0
@@ -1557,8 +1569,7 @@ func (s *Server) handleGet(kind *viewKind) http.HandlerFunc {
 		}
 		// The version is read before the body's snapshot, so it never
 		// claims news the body does not carry.
-		version, _ := v.progress()
-		w.Header().Set(viewVersionHeader, version)
+		w.Header().Set(viewVersionHeader, s.version(v))
 		writeJSON(w, http.StatusOK, kind.status(v))
 	}
 }
@@ -1592,7 +1603,7 @@ func (s *Server) handleDelete(kind *viewKind) http.HandlerFunc {
 				delete(s.byFP, v.fp)
 			}
 			s.releaseCellsLocked(v)
-			s.notifyLocked()
+			s.notify()
 		} else {
 			s.forgetView(v)
 		}

@@ -26,7 +26,8 @@ import (
 // channel closed (and cleared) wherever view state changes under Server.mu
 // — a cell attaching or finishing, a view cancelled or finalized. Each
 // woken waiter re-checks its own view and parks again if nothing it cares
-// about moved. No lock is held while parked.
+// about moved. The channel sits in an atomic pointer, so neither the wake
+// nor the re-arm takes Server.mu, and no lock is held while parked.
 
 // viewVersionHeader carries a view's progress version on every GET of it.
 const viewVersionHeader = "X-View-Version"
@@ -55,14 +56,21 @@ func parseWait(q url.Values) (wait time.Duration, since string, hasSince bool, e
 	return wait, since, hasSince, nil
 }
 
-// progress reads the view's progress version — cells attached plus cells
-// finished, plus one once cancelled and one once terminal; every term only
-// grows, so every change of reportable state moves it — and whether the
-// view has ended (terminal or cancelled), the news a long-poll without
-// since waits for.
-func (v *view) progress() (version string, ended bool) {
+// version reads the view's progress version: cells attached plus cells
+// finished, plus one once cancelled and one once terminal. Every term only
+// grows, so every change of reportable state moves it. Computing it scans
+// the view's cells, so the result is memoized per broadcast: the waiters
+// one notify wakes on a view share one scan. A read racing a change before
+// its notify may get the version from just before it — never a version
+// the status body does not carry — and the notify then wakes any waiter
+// it left parked.
+func (s *Server) version(v *view) string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	gen := s.progressGen.Load()
+	if v.verMemo != "" && v.verGen == gen {
+		return v.verMemo
+	}
 	n := len(v.cells)
 	for _, c := range v.cells {
 		if c.terminal() {
@@ -75,25 +83,39 @@ func (v *view) progress() (version string, ended bool) {
 	if Terminal(v.status) {
 		n++
 	}
-	return strconv.Itoa(n), v.canceled || Terminal(v.status)
+	v.verGen, v.verMemo = gen, strconv.Itoa(n)
+	return v.verMemo
 }
 
-// notifyLocked wakes every parked long-poll. Called with s.mu held.
-func (s *Server) notifyLocked() {
-	if s.progress != nil {
-		close(s.progress)
-		s.progress = nil
+// ended reports whether the view is terminal or cancelled — the news a
+// long-poll without since waits for. Unlike version it needs no scan.
+func (v *view) ended() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.canceled || Terminal(v.status)
+}
+
+// notify wakes every parked long-poll. It takes no lock; its callers call
+// it where they change view state, under Server.mu.
+func (s *Server) notify() {
+	s.progressGen.Add(1)
+	if ch := s.progress.Swap(nil); ch != nil {
+		close(*ch)
 	}
 }
 
-// progressCh returns the channel the next notifyLocked closes.
+// progressCh returns the channel the next notify closes, installing one
+// if nobody is waiting yet.
 func (s *Server) progressCh() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.progress == nil {
-		s.progress = make(chan struct{})
+	for {
+		if ch := s.progress.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if s.progress.CompareAndSwap(nil, &ch) {
+			return ch
+		}
 	}
-	return s.progress
 }
 
 // ReleaseWaiters answers every parked long-poll now and every later one at
@@ -104,10 +126,10 @@ func (s *Server) ReleaseWaiters() {
 	s.releaseOnce.Do(func() { close(s.released) })
 }
 
-// awaitView holds a long-poll GET until v has news for it: any version
-// other than since (when the caller passed one), the view ending, the wait
-// expiring, ctx ending, or the server releasing its waiters. Past the
-// waiter cap it returns at once.
+// awaitView holds a long-poll GET until v has news for it — with since,
+// any other version (a cancel moves it too); without, the view ending — or
+// until the wait expires, ctx ends, or the server releases its waiters.
+// Past the waiter cap it returns at once.
 func (s *Server) awaitView(ctx context.Context, v *view, wait time.Duration, since string, hasSince bool) {
 	if s.waiters.Add(1) > int64(s.waiterCap) {
 		s.waiters.Add(-1)
@@ -121,7 +143,11 @@ func (s *Server) awaitView(ctx context.Context, v *view, wait time.Duration, sin
 		// Take the channel before checking, so a change that lands between
 		// the check and the park still wakes this waiter.
 		ch := s.progressCh()
-		if version, ended := v.progress(); ended || (hasSince && version != since) {
+		if hasSince {
+			if s.version(v) != since {
+				return
+			}
+		} else if v.ended() {
 			return
 		}
 		select {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -178,6 +179,56 @@ func TestLongPollDeleteReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestLongPollCancelledViewStillDraining: a cancelled view whose cells a
+// sweep still holds stays running. A long-poll with its current version
+// holds to expiry instead of answering at once (a since loop would spin);
+// without since, the cancel is the end it waits for.
+func TestLongPollCancelledViewStillDraining(t *testing.T) {
+	srv, c := newTestService(t, Config{Workers: 1})
+	path, unblock := queuedRun(t, srv)
+	spec, err := scenario.ParseSpec([]byte(fastSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax, err := ResolveSweepAxes(spec, &SweepRequest{Seeds: []uint64{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SubmitSweep(spec, ax) // shares both of the run's cells
+	req, _ := http.NewRequest(http.MethodDelete, c.base+path, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	cancelled := getView(t, c.base, path)
+	if st := statusOf(t, cancelled.body); st != StatusRunning {
+		t.Fatalf("cancelled run with shared cells is %s, want running while it drains", st)
+	}
+	held := getView(t, c.base, path+"?wait=150ms&since="+cancelled.version)
+	if held.took < 150*time.Millisecond || held.version != cancelled.version {
+		t.Errorf("since-poll on the draining view answered after %v with version %q, want the 150ms wait and %q", held.took, held.version, cancelled.version)
+	}
+	if ended := getView(t, c.base, path+"?wait=30s"); ended.took > 5*time.Second {
+		t.Errorf("finish-poll on the cancelled view held %v, want an immediate answer", ended.took)
+	}
+	// Following versions, as a progress client does, every answer carries
+	// news, and the drained view ends canceled.
+	unblock()
+	version, status := cancelled.version, StatusRunning
+	for i := 0; i < 10 && !Terminal(status); i++ {
+		next := getView(t, c.base, path+"?wait=30s&since="+version)
+		if next.version == version {
+			t.Fatalf("since-poll answered after %v with an unchanged version", next.took)
+		}
+		version, status = next.version, statusOf(t, next.body)
+	}
+	if status != StatusCanceled {
+		t.Errorf("drained view is %s, want canceled", status)
+	}
+}
+
 // TestLongPollRejectsMalformedWait: a wait that is not a non-negative
 // duration is a 400 with the usual error envelope, for every view kind.
 func TestLongPollRejectsMalformedWait(t *testing.T) {
@@ -318,5 +369,70 @@ func TestClientWaitPacesAgainstServerIgnoringWait(t *testing.T) {
 	// scheduling slack, but not a spin.
 	if n := gets.Load(); n > 10 {
 		t.Errorf("Wait sent %d requests in %v to a server ignoring wait", n, runFor)
+	}
+}
+
+// BenchmarkSweepWithParkedWaiters measures what parked long-polls cost the
+// cell path: one 512-cell sweep of fastSpec on 2 workers, fresh each
+// iteration, with a full waiter pool (maxViewWaiters) parked on it or none.
+// Finish waiters park as Client.Wait does and re-check O(1) per wake-up;
+// since waiters re-park at every new version, as a progress client
+// following ?since= does with no network between its polls, and read the
+// view's version on every wake-up.
+func BenchmarkSweepWithParkedWaiters(b *testing.B) {
+	spec, err := scenario.ParseSpec([]byte(fastSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		waiters int
+		since   bool
+	}{
+		{"waiters=0", 0, false},
+		{"waiters=1024/finish", maxViewWaiters, false},
+		{"waiters=1024/since", maxViewWaiters, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv, err := New(Config{Workers: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			const seeds = 256
+			for i := 0; i < b.N; i++ {
+				ax, err := ResolveSweepAxes(spec, &SweepRequest{SeedFrom: uint64(i*seeds + 1), SeedTo: uint64(i*seeds + seeds)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				st := srv.SubmitSweep(spec, ax)
+				srv.mu.Lock()
+				v := srv.views[st.ID]
+				srv.mu.Unlock()
+				ctx, cancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				// One slot of the pool is the benchmark's own finish waiter.
+				for w := 1; w < bc.waiters; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if !bc.since {
+							srv.awaitView(ctx, v, time.Hour, "", false)
+							return
+						}
+						for ctx.Err() == nil && !v.ended() {
+							srv.awaitView(ctx, v, time.Hour, srv.version(v), true)
+						}
+					}()
+				}
+				srv.awaitView(ctx, v, time.Hour, "", false)
+				if !v.ended() {
+					b.Fatal("the sweep's finish waiter returned before the sweep ended")
+				}
+				cancel()
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*seeds), "ns/cell")
+		})
 	}
 }

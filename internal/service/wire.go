@@ -46,6 +46,8 @@ type RunRequest struct {
 	// NoForward pins the run's fresh cells to the receiving node even in
 	// cluster mode. Set on peer-to-peer forwarded submissions to break
 	// forwarding cycles; harmless (and occasionally useful) from clients.
+	// Such a run gets an id of its own: it is never merged with an
+	// identical run, though its cells are shared with it.
 	NoForward bool `json:"no_forward,omitempty"`
 }
 
