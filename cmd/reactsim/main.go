@@ -438,7 +438,7 @@ func runScenario(name, file string, seed uint64, workers int, dt float64, jsonOu
 		}
 	}
 
-	opt := scenario.RunOptions{Seed: seed, Workers: workers, DT: dt}
+	opt := scenario.RunOptions{Seed: seed, DT: dt}
 	var tl *obs.SimTimeline
 	if timeline != "" {
 		tl = obs.NewSimTimeline(0)
@@ -447,7 +447,7 @@ func runScenario(name, file string, seed uint64, workers int, dt float64, jsonOu
 		}
 		opt.Probe = tl
 	}
-	run, err := spec.Run(context.Background(), nil, opt)
+	run, err := spec.Run(context.Background(), &runner.Runner{Workers: workers}, opt)
 	if err != nil {
 		return err
 	}

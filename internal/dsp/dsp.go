@@ -2,9 +2,8 @@
 // Compute benchmark: the paper's SC workload wakes every five seconds to
 // sample a low-power MEMS microphone and digitally filter the reading.
 //
-// The package provides a direct-form-II biquad section (for the anti-alias
-// low-pass the benchmark applies) and a small FIR filter, both implemented
-// from scratch.
+// The package provides the direct-form-II biquad section behind the
+// anti-alias low-pass the benchmark applies, implemented from scratch.
 package dsp
 
 import "math"
@@ -62,43 +61,3 @@ func (f *Biquad) ProcessBlock(samples []float64) float64 {
 
 // Reset clears the filter state.
 func (f *Biquad) Reset() { f.z1, f.z2 = 0, 0 }
-
-// FIR is a finite-impulse-response filter.
-type FIR struct {
-	taps  []float64
-	delay []float64
-	pos   int
-}
-
-// NewFIR builds a FIR filter over the given tap coefficients.
-func NewFIR(taps []float64) *FIR {
-	return &FIR{taps: append([]float64(nil), taps...), delay: make([]float64, len(taps))}
-}
-
-// MovingAverage returns an n-tap moving-average FIR.
-func MovingAverage(n int) *FIR {
-	taps := make([]float64, n)
-	for i := range taps {
-		taps[i] = 1 / float64(n)
-	}
-	return NewFIR(taps)
-}
-
-// Process filters one sample.
-func (f *FIR) Process(x float64) float64 {
-	f.delay[f.pos] = x
-	var y float64
-	idx := f.pos
-	for _, t := range f.taps {
-		y += t * f.delay[idx]
-		idx--
-		if idx < 0 {
-			idx = len(f.delay) - 1
-		}
-	}
-	f.pos++
-	if f.pos == len(f.delay) {
-		f.pos = 0
-	}
-	return y
-}

@@ -65,30 +65,3 @@ func TestBiquadReset(t *testing.T) {
 		t.Error("reset must clear state")
 	}
 }
-
-func TestMovingAverageConvergesToMean(t *testing.T) {
-	f := MovingAverage(4)
-	var y float64
-	for i := 0; i < 16; i++ {
-		y = f.Process(2.0)
-	}
-	if math.Abs(y-2.0) > 1e-12 {
-		t.Errorf("steady-state output %g, want 2", y)
-	}
-}
-
-func TestFIRImpulseResponse(t *testing.T) {
-	taps := []float64{0.5, 0.3, 0.2}
-	f := NewFIR(taps)
-	var got []float64
-	got = append(got, f.Process(1))
-	got = append(got, f.Process(0))
-	got = append(got, f.Process(0))
-	got = append(got, f.Process(0))
-	want := []float64{0.5, 0.3, 0.2, 0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("impulse[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}

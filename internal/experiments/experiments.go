@@ -14,8 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"react/internal/buffer"
-	"react/internal/mcu"
 	"react/internal/runner"
 	"react/internal/scenario"
 	"react/internal/sim"
@@ -38,28 +36,6 @@ const DEActiveI = scenario.DEActiveI
 
 // staticLeak is the shared 1 µA/mF static-capacitor leakage figure.
 func staticLeak(c float64) float64 { return scenario.StaticLeak(c) }
-
-// NewBuffer constructs a fresh instance of one of the evaluated buffers.
-// Beyond the paper's five (BufferNames), the related-work extensions
-// "Capybara" and "Dewdrop" are also constructible for the ablation and
-// extension experiments. It panics on an unknown name — the set is fixed.
-func NewBuffer(name string) buffer.Buffer {
-	b, err := scenario.NewPresetBuffer(name)
-	if err != nil {
-		panic("experiments: unknown buffer " + name)
-	}
-	return b
-}
-
-// NewWorkload constructs a fresh workload for a benchmark over a trace. It
-// panics on an unknown benchmark name — the set is fixed.
-func NewWorkload(bench string, tr *trace.Trace, seed uint64) mcu.Workload {
-	wl, err := scenario.WorkloadSpec{Bench: bench}.Build(tr, seed, mcu.DefaultProfile())
-	if err != nil {
-		panic("experiments: unknown benchmark " + bench)
-	}
-	return wl
-}
 
 // Options tunes a run; the zero value uses the evaluation defaults.
 type Options struct {

@@ -11,46 +11,6 @@ import (
 	"react/internal/trace"
 )
 
-func TestBufferFactoryNames(t *testing.T) {
-	for _, name := range BufferNames {
-		b := NewBuffer(name)
-		if b.Name() != name && !strings.Contains(b.Name(), "REACT") && b.Name() != "Morphy" {
-			t.Errorf("buffer %q reports name %q", name, b.Name())
-		}
-		if b.Capacitance() <= 0 {
-			t.Errorf("buffer %q has no capacitance", name)
-		}
-	}
-}
-
-func TestBufferFactoryUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown buffer name must panic")
-		}
-	}()
-	NewBuffer("1 F")
-}
-
-func TestWorkloadFactory(t *testing.T) {
-	tr := trace.RFCart(1)
-	for _, bench := range BenchmarkNames {
-		wl := NewWorkload(bench, tr, 1)
-		if wl.Name() != bench {
-			t.Errorf("workload %q reports name %q", bench, wl.Name())
-		}
-	}
-}
-
-func TestWorkloadFactoryUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown benchmark name must panic")
-		}
-	}()
-	NewWorkload("XX", trace.RFCart(1), 1)
-}
-
 // TestCellEnergyConservation verifies the full-stack energy ledger balances
 // for one cell of every buffer design.
 func TestCellEnergyConservation(t *testing.T) {

@@ -386,40 +386,3 @@ func extractFrontier(points []PointResult, pair MetricPair) Frontier {
 	})
 	return f
 }
-
-// Job is an exploration running in the background — the Async handle.
-type Job struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-	res    *Result
-	err    error
-}
-
-// Async starts Run in the background and returns immediately. Wait blocks
-// for the outcome; Cancel aborts between batches and fails in-flight ones.
-func Async(ctx context.Context, sp *Space, ev Evaluator) *Job {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	j := &Job{cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer cancel()
-		j.res, j.err = Run(ctx, sp, ev)
-		close(j.done)
-	}()
-	return j
-}
-
-// Cancel stops the exploration; Wait still reports completion afterwards,
-// with context.Canceled as the error. Idempotent.
-func (j *Job) Cancel() { j.cancel() }
-
-// Done returns a channel closed when the exploration has drained.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Wait blocks until the exploration finishes and returns its outcome.
-func (j *Job) Wait() (*Result, error) {
-	<-j.done
-	return j.res, j.err
-}

@@ -427,3 +427,76 @@ func TestExploreLocalGrid(t *testing.T) {
 		t.Errorf("static label %q not a capacitance", res.Points[0].Buffer)
 	}
 }
+
+// mixedSpace crosses every axis kind: a static lattice, presets (grid
+// only: bisection searches the capacitance lattice), two timesteps (one
+// the spec default spelled as 0), a patch axis and three seeds.
+func mixedSpace(strategy string) *Space {
+	sp := &Space{
+		Spec:     testSpec(),
+		Static:   &StaticAxis{From: 1e-4, To: 1e-2, Points: 5},
+		Presets:  []string{"REACT", "Morphy", "770 µF"},
+		DTs:      []float64{0, 2e-3},
+		Patches:  []PatchAxis{{Path: "/workload/active_i", Values: []float64{0.5e-3, 1e-3}}},
+		Seeds:    []uint64{1, 2, 3},
+		Strategy: strategy,
+	}
+	if strategy == StrategyBisect {
+		sp.Presets = nil
+		sp.Target = &Target{Metric: "blocks", Min: f64(3000)}
+	}
+	return sp
+}
+
+// TestPlanCellAddressesDistinct pins the invariant that lets Local run
+// every cell it is handed without a memo: no two cells of a resolved plan
+// share a content address, and a run never hands the evaluator the same
+// address twice, across batches included.
+func TestPlanCellAddressesDistinct(t *testing.T) {
+	plan, err := mixedSpace(StrategyGrid).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{}
+	for pi, pt := range plan.Points {
+		for _, seed := range plan.Seeds {
+			fp, err := pt.Spec.FingerprintCell(0, scenario.RunOptions{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := fmt.Sprintf("point %d (%s, dt %g, %v) seed %d", pi, pt.Buffer, pt.DT, pt.Params, seed)
+			if prev, dup := seen[fp]; dup {
+				t.Errorf("%s shares its address with %s", cell, prev)
+			}
+			seen[fp] = cell
+		}
+	}
+	if want := len(plan.Points) * len(plan.Seeds); len(seen) != want {
+		t.Errorf("%d distinct addresses, want %d", len(seen), want)
+	}
+
+	for _, strategy := range []string{StrategyGrid, StrategyBisect} {
+		asked := map[string]bool{}
+		count := 0
+		fake := fakeEval(&count)
+		ev := func(ctx context.Context, cells []Cell) ([]sim.Result, error) {
+			for _, c := range cells {
+				fp, err := c.Spec.FingerprintCell(0, c.Opt)
+				if err != nil {
+					return nil, err
+				}
+				if asked[fp] {
+					t.Errorf("%s: point %d seed %d asked for twice", strategy, c.Point, c.Seed)
+				}
+				asked[fp] = true
+			}
+			return fake(ctx, cells)
+		}
+		if _, err := Run(context.Background(), mixedSpace(strategy), ev); err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if len(asked) == 0 {
+			t.Errorf("%s: no cells evaluated", strategy)
+		}
+	}
+}

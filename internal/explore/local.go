@@ -2,69 +2,22 @@ package explore
 
 import (
 	"context"
-	"sync"
 
 	"react/internal/runner"
 	"react/internal/sim"
 )
 
-// Local returns an in-process Evaluator: cells simulate over the
-// experiment engine's bounded worker pool (workers 0 = GOMAXPROCS), and a
-// fingerprint memo deduplicates repeated addresses — within a batch and
-// across the evaluator's lifetime — so reusing one Local across
-// explorations mirrors the service's content-addressed cell cache.
-// Results are deterministic for any worker count.
+// Local returns an in-process Evaluator: every cell simulates once over
+// the experiment engine's bounded worker pool (workers 0 = GOMAXPROCS),
+// in cell order. It needs no memo: Space.Resolve rejects duplicate axis
+// values, so no two cells of a plan share a content address, and Plan.Run
+// never asks for a point twice. Results are deterministic for any worker
+// count.
 func Local(workers int) Evaluator {
 	r := &runner.Runner{Workers: workers}
-	var mu sync.Mutex
-	memo := map[string]sim.Result{}
 	return func(ctx context.Context, cells []Cell) ([]sim.Result, error) {
-		out := make([]sim.Result, len(cells))
-		// Collapse the batch onto distinct content addresses; cells with no
-		// canonical encoding (Go-only constructors) simulate individually.
-		type job struct {
-			cell Cell
-			fp   string
-			outs []int
-		}
-		var jobs []*job
-		byFP := map[string]*job{}
-		mu.Lock()
-		for i, c := range cells {
-			fp, _ := c.Spec.FingerprintCell(0, c.Opt)
-			if fp != "" {
-				if res, ok := memo[fp]; ok {
-					out[i] = res
-					continue
-				}
-				if j := byFP[fp]; j != nil {
-					j.outs = append(j.outs, i)
-					continue
-				}
-			}
-			j := &job{cell: c, fp: fp, outs: []int{i}}
-			if fp != "" {
-				byFP[fp] = j
-			}
-			jobs = append(jobs, j)
-		}
-		mu.Unlock()
-		results, err := runner.Sweep(ctx, r, jobs, func(ctx context.Context, j *job) (sim.Result, error) {
-			return j.cell.Spec.Cell(0, j.cell.Opt)
+		return runner.Sweep(ctx, r, cells, func(_ context.Context, c Cell) (sim.Result, error) {
+			return c.Spec.Cell(0, c.Opt)
 		})
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		for k, j := range jobs {
-			for _, i := range j.outs {
-				out[i] = results[k]
-			}
-			if j.fp != "" {
-				memo[j.fp] = results[k]
-			}
-		}
-		mu.Unlock()
-		return out, nil
 	}
 }

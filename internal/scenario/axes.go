@@ -3,6 +3,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
+
+	"react/internal/sim"
 )
 
 // This file is the one implementation of the seed and timestep axes every
@@ -19,7 +21,7 @@ func (s *Spec) ResolveSeed(override uint64) uint64 {
 }
 
 // ResolveDT resolves the effective timestep of the spec under an
-// override, mirroring the engine's defaults (0 → the spec's → 1 ms).
+// override: 0 → the spec's → the engine's sim.DefaultDT.
 func (s *Spec) ResolveDT(override float64) float64 {
 	if override > 0 {
 		return override
@@ -27,7 +29,7 @@ func (s *Spec) ResolveDT(override float64) float64 {
 	if s.DT > 0 {
 		return s.DT
 	}
-	return 1e-3
+	return sim.DefaultDT
 }
 
 // ResolveSeedAxis resolves a seed-axis request against the spec: an

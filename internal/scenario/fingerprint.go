@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"react/internal/ckpt"
+	"react/internal/sim"
 	"react/internal/trace"
 )
 
@@ -26,8 +27,7 @@ import (
 // address. Workload-internal defaults (an SC period, a PF interarrival)
 // are hashed raw: spelling one out produces a distinct address even when
 // it matches the benchmark's built-in default — a dedup miss, never a
-// false hit. Worker count is excluded: results are deterministic
-// regardless of pool size.
+// false hit.
 
 // The fpcomplete analyzer cross-checks this file against the spec structs:
 // every JSON-visible field of the types below must either feed the
@@ -41,7 +41,6 @@ import (
 //lint:fpcomplete-allow Spec.Title presentation metadata, not physics
 //lint:fpcomplete-allow Spec.Paper presentation metadata, not physics
 //lint:fpcomplete-allow Spec.Long presentation metadata, not physics
-//lint:fpcomplete-allow RunOptions.Workers results are deterministic regardless of pool size
 //lint:fpcomplete-allow RunOptions.Probe observation hook: probes never change results (sim.Probe contract)
 
 // FingerprintPrefix tags every fingerprint with the hash it was built from.
@@ -123,7 +122,7 @@ func (s *Spec) fingerprintBuffers(opt RunOptions, buffers []BufferSpec) (string,
 		Converter: s.Converter,
 		Device:    s.Device,
 		Workload:  s.Workload,
-		DT:        s.DT,
+		DT:        s.ResolveDT(opt.DT),
 		TailCap:   s.TailCap,
 		Seed:      opt.seed(s),
 		RecordDT:  opt.RecordDT,
@@ -147,14 +146,8 @@ func (s *Spec) fingerprintBuffers(opt RunOptions, buffers []BufferSpec) (string,
 	if c.Converter == "" {
 		c.Converter = "identity"
 	}
-	if opt.DT > 0 {
-		c.DT = opt.DT
-	}
-	if c.DT == 0 {
-		c.DT = 1e-3
-	}
-	if c.TailCap == 0 {
-		c.TailCap = 600
+	if c.TailCap <= 0 {
+		c.TailCap = sim.DefaultTailCap
 	}
 	c.Buffers = make([]BufferSpec, len(buffers))
 	for i, bs := range buffers {
@@ -162,17 +155,7 @@ func (s *Spec) fingerprintBuffers(opt RunOptions, buffers []BufferSpec) (string,
 			return "", fmt.Errorf("scenario %q: buffer %q: custom constructor buffers have no canonical encoding", s.Name, bs.DisplayName())
 		}
 		if bs.Static != nil {
-			// Resolve the defaults BufferSpec.Build applies, mirroring it.
-			st := *bs.Static
-			if st.VMax <= 0 {
-				st.VMax = 3.6
-			}
-			if st.LeakI <= 0 {
-				st.LeakI = StaticLeak(st.C)
-			}
-			if st.VRated <= 0 {
-				st.VRated = 6.3
-			}
+			st := bs.Static.withDefaults()
 			bs.Static = &st
 		}
 		c.Buffers[i] = bs
@@ -180,13 +163,7 @@ func (s *Spec) fingerprintBuffers(opt RunOptions, buffers []BufferSpec) (string,
 	ts := s.Trace
 	c.Trace = canonicalTrace{Gen: ts.Gen, Mean: ts.Mean, Duration: ts.Duration}
 	if ts.Gen == steadyGen {
-		// Resolve the steady generator's defaults, mirroring TraceSpec.Build.
-		if c.Trace.Mean <= 0 {
-			c.Trace.Mean = 10e-3
-		}
-		if c.Trace.Duration <= 0 {
-			c.Trace.Duration = 300
-		}
+		c.Trace.Mean, c.Trace.Duration = ts.steadyKnobs()
 	}
 	if ts.Loaded != nil {
 		c.Trace.Digest = traceDigest(ts.Loaded)

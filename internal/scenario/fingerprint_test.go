@@ -44,10 +44,6 @@ func TestFingerprintEqualSpecsHashEqual(t *testing.T) {
 	if got := mustFP(t, renamed, scenario.RunOptions{}); got != a {
 		t.Error("metadata-only differences must not change the fingerprint")
 	}
-	// Worker count never affects results, so it never affects the address.
-	if got := mustFP(t, fpSpec(), scenario.RunOptions{Workers: 7}); got != a {
-		t.Error("worker count must not change the fingerprint")
-	}
 }
 
 func TestFingerprintResolvesDefaults(t *testing.T) {

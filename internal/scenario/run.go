@@ -15,9 +15,6 @@ type RunOptions struct {
 	// spec's seed applies, which itself defaults to 1 — an explicit seed 0
 	// is not expressible anywhere in the stack, and sweeps start at 1.
 	Seed uint64
-	// Workers bounds the per-buffer worker pool when Run builds its own
-	// runner (0 = GOMAXPROCS).
-	Workers int
 	// DT overrides the integration timestep.
 	DT float64
 	// RecordDT, when positive, records voltage/state series.
@@ -94,8 +91,7 @@ func (s *Spec) CellNamed(buffer string, opt RunOptions) (sim.Result, error) {
 }
 
 // Run simulates every buffer of the spec over r's worker pool (nil r uses
-// a pool bounded by opt.Workers, or GOMAXPROCS). Results are deterministic
-// for any worker count.
+// GOMAXPROCS workers). Results are deterministic for any worker count.
 //
 // The buffer axis is partitioned into one contiguous chunk per worker
 // slot: with at least as many workers as buffers this degenerates to the
@@ -104,9 +100,6 @@ func (s *Spec) CellNamed(buffer string, opt RunOptions) (sim.Result, error) {
 // instead. Chunking never changes results — only how many cells ride one
 // pass.
 func (s *Spec) Run(ctx context.Context, r *runner.Runner, opt RunOptions) (*Run, error) {
-	if r == nil && opt.Workers > 0 {
-		r = &runner.Runner{Workers: opt.Workers}
-	}
 	chunks := runner.Chunks(len(s.Buffers), r.Slots())
 	results := make([]sim.Result, len(s.Buffers))
 	err := r.Do(ctx, len(chunks), func(_ context.Context, ci int) error {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"react/internal/mcu"
 	"react/internal/scenario"
 	"react/internal/trace"
 )
@@ -58,6 +59,45 @@ func TestPaperScenariosCoverTheEvaluationGrid(t *testing.T) {
 				t.Errorf("%s: %d buffers, want the paper's %d", name, len(s.Buffers), len(scenario.PaperBuffers))
 			}
 		}
+	}
+}
+
+// TestPresetBufferFactory: every preset builds a fresh buffer whose name
+// contains its preset name (some models append their sizing) and that has
+// a positive capacitance; an unknown name is an error.
+func TestPresetBufferFactory(t *testing.T) {
+	for _, name := range scenario.PresetBuffers {
+		b, err := scenario.NewPresetBuffer(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(b.Name(), name) {
+			t.Errorf("buffer %q reports name %q", name, b.Name())
+		}
+		if b.Capacitance() <= 0 {
+			t.Errorf("buffer %q has no capacitance", name)
+		}
+	}
+	if _, err := scenario.NewPresetBuffer("1 F"); err == nil {
+		t.Error("an unknown preset must not build")
+	}
+}
+
+// TestWorkloadSpecBuildNames: every paper benchmark builds a workload
+// that reports its benchmark name; an unknown name is an error.
+func TestWorkloadSpecBuildNames(t *testing.T) {
+	tr := trace.RFCart(1)
+	for _, bench := range scenario.PaperBenchmarks {
+		wl, err := scenario.WorkloadSpec{Bench: bench}.Build(tr, 1, mcu.DefaultProfile())
+		if err != nil {
+			t.Fatalf("%s: %v", bench, err)
+		}
+		if wl.Name() != bench {
+			t.Errorf("workload %q reports name %q", bench, wl.Name())
+		}
+	}
+	if _, err := (scenario.WorkloadSpec{Bench: "XX"}).Build(tr, 1, mcu.DefaultProfile()); err == nil {
+		t.Error("an unknown benchmark must not build")
 	}
 }
 

@@ -110,6 +110,19 @@ type TraceSpec struct {
 // rather than in the trace registry because it takes knobs, not a seed.
 const steadyGen = "steady"
 
+// steadyKnobs resolves the steady generator's level (default 10 mW) and
+// length (default 300 s).
+func (ts TraceSpec) steadyKnobs() (mean, dur float64) {
+	mean, dur = ts.Mean, ts.Duration
+	if mean <= 0 {
+		mean = 10e-3
+	}
+	if dur <= 0 {
+		dur = 300
+	}
+	return mean, dur
+}
+
 // Build materializes the trace for a seed. Generated traces are fresh per
 // call; Loaded traces are returned as-is unless a knob forces a clone.
 func (ts TraceSpec) Build(seed uint64) (*trace.Trace, error) {
@@ -122,13 +135,7 @@ func (ts TraceSpec) Build(seed uint64) (*trace.Trace, error) {
 			tr = &clone
 		}
 	case ts.Gen == steadyGen:
-		mean, dur := ts.Mean, ts.Duration
-		if mean <= 0 {
-			mean = 10e-3
-		}
-		if dur <= 0 {
-			dur = 300
-		}
+		mean, dur := ts.steadyKnobs()
 		return trace.Steady(fmt.Sprintf("Steady %.3g mW", mean*1e3), mean, dur), nil
 	default:
 		var err error
@@ -353,6 +360,21 @@ func (st *StaticSpec) validate(label string) error {
 	return nil
 }
 
+// withDefaults returns st with every zero-or-negative optional field
+// replaced by its default.
+func (st StaticSpec) withDefaults() StaticSpec {
+	if st.VMax <= 0 {
+		st.VMax = 3.6
+	}
+	if st.LeakI <= 0 {
+		st.LeakI = StaticLeak(st.C)
+	}
+	if st.VRated <= 0 {
+		st.VRated = 6.3
+	}
+	return st
+}
+
 // BufferSpec selects one energy buffer of a scenario. Exactly one of
 // Preset, Static, or New must be set.
 type BufferSpec struct {
@@ -381,19 +403,10 @@ func (bs BufferSpec) Build() (buffer.Buffer, error) {
 	case bs.New != nil:
 		return bs.New(), nil
 	case bs.Static != nil:
-		st := *bs.Static
-		if err := st.validate(bs.DisplayName()); err != nil {
+		if err := bs.Static.validate(bs.DisplayName()); err != nil {
 			return nil, err
 		}
-		if st.VMax <= 0 {
-			st.VMax = 3.6
-		}
-		if st.LeakI <= 0 {
-			st.LeakI = StaticLeak(st.C)
-		}
-		if st.VRated <= 0 {
-			st.VRated = 6.3
-		}
+		st := bs.Static.withDefaults()
 		return buffer.NewStatic(buffer.StaticConfig{
 			Name: bs.DisplayName(), C: st.C, VMax: st.VMax, LeakI: st.LeakI, VRated: st.VRated,
 		}), nil

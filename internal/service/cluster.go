@@ -9,8 +9,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"react/internal/obs"
@@ -34,9 +32,7 @@ import (
 // never availability.
 //
 // Cells that cannot travel stay local: unfingerprintable specs (Go-only
-// constructors), Loaded traces (no JSON encoding), and recorded runs
-// (RecordDT is not expressible in a RunRequest, and sample streams are
-// not part of the wire cell result anyway).
+// constructors) and Loaded traces (no JSON encoding).
 
 // DefaultPeerTimeout bounds each HTTP request to a peer when
 // Config.PeerTimeout is zero.
@@ -161,18 +157,7 @@ func (s *Server) startPeerGroup(owner string, members []pendingCell, opt scenari
 // failure retries once and then degrades to local simulation — the cells
 // re-enter the local scheduler as one batch. Called with s.mu held.
 func (s *Server) startPeerBatch(owner string, spec *scenario.Spec, group []pendingCell, opt scenario.RunOptions) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	remaining := int64(len(group))
-	for _, p := range group {
-		var once sync.Once
-		p.c.cancel = func() {
-			once.Do(func() {
-				if atomic.AddInt64(&remaining, -1) == 0 {
-					cancel()
-				}
-			})
-		}
-	}
+	ctx, cancel := s.memberRelease(group)
 	s.cellsQueued.Add(uint64(len(group)))
 	s.jobs.Add(1)
 	go func() {

@@ -325,7 +325,8 @@ func TestCancelForwardedViewSparesSharedRuns(t *testing.T) {
 	ctx := context.Background()
 
 	b.srv.mu.Lock()
-	spec, opt := b.srv.views[fwd].spec, b.srv.views[fwd].opt
+	v := b.srv.views[fwd]
+	spec, opt := v.spec, scenario.RunOptions{Seed: v.seeds[0], DT: v.dts[0]}
 	b.srv.mu.Unlock()
 	direct := b.srv.Submit(spec, opt)
 	data, err := json.Marshal(spec)

@@ -6,7 +6,6 @@ import (
 
 	"react/internal/explore"
 	"react/internal/obs"
-	"react/internal/scenario"
 	"react/internal/sim"
 )
 
@@ -37,7 +36,7 @@ func (s *Server) submitExplore(sp *explore.Space, parent obs.SpanContext) (*Expl
 	s.explorations.Add(1)
 
 	s.mu.Lock()
-	v := s.newViewLocked(exploreKind, plan.Base, scenario.RunOptions{}, parent)
+	v := s.newViewLocked(exploreKind, plan.Base, parent)
 	v.plan = plan
 	v.seeds = plan.Seeds
 	vctx, cancel := context.WithCancel(s.ctx)

@@ -212,13 +212,11 @@ type pendingCell struct {
 }
 
 // batchKey groups pending cells that can share one lockstep trace pass:
-// the same trace spec, effective seed and effective timestep (recording
-// cadence rides along because it is uniform per batch call).
+// the same trace spec, effective seed and effective timestep.
 type batchKey struct {
 	trace scenario.TraceSpec
 	seed  uint64
 	dt    float64
-	rec   float64
 }
 
 // junkRuns bounds the failed/cancelled views kept around for polling. They
@@ -291,7 +289,6 @@ type view struct {
 	kind    *viewKind
 	fp      string // whole-run fingerprint; "" for sweeps, explorations and uncacheable specs
 	spec    *scenario.Spec
-	opt     scenario.RunOptions
 	created time.Time
 
 	// noFwd pins the view's fresh cells to this node in cluster mode;
@@ -671,14 +668,13 @@ func (s *Server) flushPendingLocked() {
 			trace: p.spec.Trace,
 			seed:  p.spec.ResolveSeed(p.opt.Seed),
 			dt:    p.spec.ResolveDT(p.opt.DT),
-			rec:   p.opt.RecordDT,
 		}
 		if p.c.fp == "" {
 			// Unfingerprintable cells carry arbitrary Go constructors the
 			// service cannot reason about (side effects, shared state), so
 			// they keep per-cell scheduling: each runs as a batch of one,
 			// finishing — and cancelling — independently.
-			s.startBatch([]pendingCell{p}, scenario.RunOptions{Seed: k.seed, DT: k.dt, RecordDT: k.rec})
+			s.startBatch([]pendingCell{p}, scenario.RunOptions{Seed: k.seed, DT: k.dt})
 			continue
 		}
 		if _, ok := groups[k]; !ok {
@@ -690,7 +686,7 @@ func (s *Server) flushPendingLocked() {
 		// Fully resolved options apply uniformly to every member, whatever
 		// each spec's own defaults were (resolution is deterministic, so
 		// results match per-cell runs bit for bit).
-		opt := scenario.RunOptions{Seed: k.seed, DT: k.dt, RecordDT: k.rec}
+		opt := scenario.RunOptions{Seed: k.seed, DT: k.dt}
 		if s.cluster == nil {
 			s.startBatch(groups[k], opt)
 			continue
@@ -700,9 +696,8 @@ func (s *Server) flushPendingLocked() {
 		var owners []string
 		for _, p := range groups[k] {
 			// Cells that cannot travel stay local: forwarded submissions
-			// (cycle breaking), preloaded traces (no JSON encoding), and
-			// recorded runs (samples are not part of the wire cell result).
-			if p.noFwd || p.spec.Trace.Loaded != nil || k.rec != 0 {
+			// (cycle breaking) and preloaded traces (no JSON encoding).
+			if p.noFwd || p.spec.Trace.Loaded != nil {
 				local = append(local, p)
 				continue
 			}
@@ -732,18 +727,7 @@ func (s *Server) flushPendingLocked() {
 // abandoned cell never kills siblings another view still wants. Called
 // with s.mu held; returns immediately.
 func (s *Server) startBatch(group []pendingCell, opt scenario.RunOptions) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	remaining := int64(len(group))
-	for _, p := range group {
-		var once sync.Once
-		p.c.cancel = func() {
-			once.Do(func() {
-				if atomic.AddInt64(&remaining, -1) == 0 {
-					cancel()
-				}
-			})
-		}
-	}
+	ctx, cancel := s.memberRelease(group)
 	s.cellsQueued.Add(uint64(len(group)))
 	enqueued := time.Now()
 	s.jobs.Add(1)
@@ -801,6 +785,25 @@ func (s *Server) startBatch(group []pendingCell, opt scenario.RunOptions) {
 	}()
 }
 
+// memberRelease gives every member of a launched group its own idempotent
+// cancel and returns the group's context, which is cancelled once every
+// member has been released. Called with s.mu held.
+func (s *Server) memberRelease(group []pendingCell) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(s.ctx)
+	remaining := int64(len(group))
+	for _, p := range group {
+		var once sync.Once
+		p.c.cancel = func() {
+			once.Do(func() {
+				if atomic.AddInt64(&remaining, -1) == 0 {
+					cancel()
+				}
+			})
+		}
+	}
+	return ctx, cancel
+}
+
 // Cell result origins for completeCell. Only locally simulated results
 // count in the sims_* metrics and write through to the disk tier —
 // a peer-fetched cell was simulated (and persisted) on its owner, and
@@ -820,7 +823,7 @@ const (
 // cells. The sim-duration histogram is observed exactly where simsOK is
 // bumped, so its cumulative count always equals sims_completed.
 func (s *Server) completeCell(c *cell, res sim.Result, err error, origin int, dur time.Duration, cst sim.CellStats) {
-	if err == nil && origin == cellSimulated && c.fp != "" && s.store != nil && res.Samples == nil {
+	if err == nil && origin == cellSimulated && c.fp != "" && s.store != nil {
 		// Write through before publishing, outside s.mu: the disk write
 		// must not stall attachments, and a cell is only servable from
 		// disk after it is servable from memory anyway.
@@ -918,13 +921,12 @@ func (s *Server) releaseCellsLocked(v *view) {
 // carried a traceparent (a client propagating its own trace, or a peer
 // forwarding cells — either way the view's spans join the caller's trace).
 // Called with s.mu held.
-func (s *Server) newViewLocked(kind *viewKind, spec *scenario.Spec, opt scenario.RunOptions, parent obs.SpanContext) *view {
+func (s *Server) newViewLocked(kind *viewKind, spec *scenario.Spec, parent obs.SpanContext) *view {
 	s.seq++
 	v := &view{
 		id:      fmt.Sprintf("%s%06d", kind.prefix, s.seq),
 		kind:    kind,
 		spec:    spec,
-		opt:     opt,
 		created: time.Now(),
 	}
 	v.status = StatusRunning
@@ -1087,9 +1089,11 @@ func (s *Server) forgetView(v *view) {
 // --- run and sweep submission ---
 
 // Submit resolves, deduplicates and (if needed) launches a run, returning
-// its submission view. It is the Go-level core of POST /runs.
+// its submission view. It is the Go-level core of POST /runs and reads
+// only opt.Seed and opt.DT: a run's cells are cached results, so it never
+// records series or drives a probe.
 func (s *Server) Submit(spec *scenario.Spec, opt scenario.RunOptions) *RunStatus {
-	return s.submit(spec, opt, false, obs.SpanContext{})
+	return s.submit(spec, scenario.RunOptions{Seed: opt.Seed, DT: opt.DT}, false, obs.SpanContext{})
 }
 
 // submit is Submit plus the cluster-internal noFwd flag (RunRequest
@@ -1130,7 +1134,7 @@ func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool
 	for i := range spec.Buffers {
 		ax.Buffers = append(ax.Buffers, i)
 	}
-	v := s.newViewLocked(runKind, spec, opt, parent)
+	v := s.newViewLocked(runKind, spec, parent)
 	v.fp = fp
 	v.noFwd = noFwd
 	s.attachLatticeLocked(v, ax)
@@ -1215,7 +1219,7 @@ func (s *Server) SubmitSweep(spec *scenario.Spec, ax SweepAxes) *SweepStatus {
 func (s *Server) submitSweep(spec *scenario.Spec, ax SweepAxes, parent obs.SpanContext) *SweepStatus {
 	s.sweeps.Add(1)
 	s.mu.Lock()
-	v := s.newViewLocked(sweepKind, spec, scenario.RunOptions{}, parent)
+	v := s.newViewLocked(sweepKind, spec, parent)
 	s.attachLatticeLocked(v, ax)
 	s.trackLocked(v)
 	s.mu.Unlock()
@@ -1233,7 +1237,7 @@ func (s *Server) attachLatticeLocked(v *view, ax SweepAxes) {
 		v.buffers = append(v.buffers, name)
 		for _, dt := range ax.DTs {
 			for _, seed := range ax.Seeds {
-				opt := scenario.RunOptions{Seed: seed, DT: dt, RecordDT: v.opt.RecordDT}
+				opt := scenario.RunOptions{Seed: seed, DT: dt}
 				s.addCell(v, v.spec, bi, opt, cellKey{Seed: seed, DT: dt, Buffer: name}, 0)
 			}
 		}

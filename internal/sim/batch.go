@@ -133,13 +133,13 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 	}
 	dt := cfgs[0].DT
 	if dt <= 0 {
-		dt = 1e-3
+		dt = DefaultDT
 	}
 	tr := cfgs[0].Frontend.Trace
 	for _, cfg := range cfgs[1:] {
 		d := cfg.DT
 		if d <= 0 {
-			d = 1e-3
+			d = DefaultDT
 		}
 		//lint:reactlint-ignore dtarith the batch key is exact identity: nearly-equal timesteps must not share a lockstep pass
 		if d != dt {
@@ -164,7 +164,7 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 		c.recordDT = cfg.RecordDT
 		c.tailCap = cfg.TailCap
 		if c.tailCap <= 0 {
-			c.tailCap = 600
+			c.tailCap = DefaultTailCap
 		}
 		if c.recordDT > 0 {
 			// Pre-size for the trace plus the bounded drain tail.

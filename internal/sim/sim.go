@@ -20,9 +20,19 @@ import (
 	"react/internal/mcu"
 )
 
+// The defaults a zero Config.DT and Config.TailCap select. The scenario
+// layer resolves against the same constants, so a spec that spells a
+// default out shares a cell address with one that leaves it zero.
+const (
+	// DefaultDT is the integration timestep in seconds.
+	DefaultDT = 1e-3
+	// DefaultTailCap bounds the post-trace drain phase in seconds.
+	DefaultTailCap = 600.0
+)
+
 // Config describes one simulation run.
 type Config struct {
-	// DT is the integration timestep in seconds (default 1 ms).
+	// DT is the integration timestep in seconds (default DefaultDT).
 	DT float64
 	// Frontend supplies power (trace × converter).
 	Frontend *harvest.Frontend
@@ -30,7 +40,7 @@ type Config struct {
 	Buffer buffer.Buffer
 	// Device is the computational backend with its workload attached.
 	Device *mcu.Device
-	// TailCap bounds the post-trace drain phase (default 600 s).
+	// TailCap bounds the post-trace drain phase (default DefaultTailCap).
 	TailCap float64
 	// RecordDT, when positive, records the rail voltage, device state and
 	// equivalent capacitance every RecordDT seconds (for the figures).

@@ -296,7 +296,9 @@ type (
 	ScenarioBuffer = scenario.BufferSpec
 	// ScenarioStatic describes a custom fixed-size buffer capacitor.
 	ScenarioStatic = scenario.StaticSpec
-	// ScenarioOptions tunes one scenario run (seed, workers, timestep).
+	// ScenarioOptions tunes one scenario run (seed, timestep, recording,
+	// probe); the worker pool is RunScenario's default or Scenario.Run's
+	// runner argument.
 	ScenarioOptions = scenario.RunOptions
 	// ScenarioRun is a completed scenario: one Result per buffer.
 	ScenarioRun = scenario.Run
@@ -352,8 +354,6 @@ type (
 	ExploreBest = explore.Best
 	// ExploreFrontier is one extracted Pareto frontier.
 	ExploreFrontier = explore.Frontier
-	// ExploreJob is a background exploration's handle (ExploreAsync).
-	ExploreJob = explore.Job
 	// ExplorationStatus is a remote exploration's submit/poll view.
 	ExplorationStatus = service.ExploreStatus
 	// RemoteExploration is a submitted remote exploration's handle
@@ -367,18 +367,13 @@ type (
 func ParseExploreSpace(data []byte) (*ExploreSpace, error) { return explore.ParseSpace(data) }
 
 // Explore runs a design-space exploration locally: every probed point
-// simulates over the experiment engine's worker pool (0 = GOMAXPROCS),
-// deduplicated by content address within the exploration. The result is
-// deterministic for any worker count and bit-identical to what a reactd
-// serves for the same space and seeds.
+// simulates over the experiment engine's worker pool (0 = GOMAXPROCS).
+// The result is deterministic for any worker count and bit-identical to
+// what a reactd serves for the same space and seeds. Explore blocks until
+// the exploration finishes; to run it in the background, call it from a
+// goroutine and cancel ctx to stop it between batches.
 func Explore(ctx context.Context, space *ExploreSpace, workers int) (*ExploreResult, error) {
 	return explore.Run(ctx, space, explore.Local(workers))
-}
-
-// ExploreAsync starts Explore in the background and returns immediately;
-// Wait the handle for the result, or Cancel it between batches.
-func ExploreAsync(ctx context.Context, space *ExploreSpace, workers int) *ExploreJob {
-	return explore.Async(ctx, space, explore.Local(workers))
 }
 
 // Simulation-service types: the reactd daemon's building blocks (serve

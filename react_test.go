@@ -3,6 +3,7 @@ package react_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"reflect"
@@ -283,14 +284,11 @@ func TestExploreFacade(t *testing.T) {
 		t.Fatalf("exploration wrong: evaluated %d, %d frontiers", res.Evaluated, len(res.Frontiers))
 	}
 
-	// The async handle delivers the same result.
-	job := react.ExploreAsync(ctx, space, 2)
-	async, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(async, res) {
-		t.Error("async exploration diverged from the synchronous one")
+	// A cancelled context stops the exploration before any batch runs.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := react.Explore(cancelled, space, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled exploration returned %v, want context.Canceled", err)
 	}
 
 	// And the remote path serves the identical result from a daemon.
