@@ -375,6 +375,14 @@ func (st StaticSpec) withDefaults() StaticSpec {
 	return st
 }
 
+// build constructs the static buffer st describes, its defaults resolved.
+func (st StaticSpec) build(name string) buffer.Buffer {
+	st = st.withDefaults()
+	return buffer.NewStatic(buffer.StaticConfig{
+		Name: name, C: st.C, VMax: st.VMax, LeakI: st.LeakI, VRated: st.VRated,
+	})
+}
+
 // BufferSpec selects one energy buffer of a scenario. Exactly one of
 // Preset, Static, or New must be set.
 type BufferSpec struct {
@@ -406,10 +414,7 @@ func (bs BufferSpec) Build() (buffer.Buffer, error) {
 		if err := bs.Static.validate(bs.DisplayName()); err != nil {
 			return nil, err
 		}
-		st := bs.Static.withDefaults()
-		return buffer.NewStatic(buffer.StaticConfig{
-			Name: bs.DisplayName(), C: st.C, VMax: st.VMax, LeakI: st.LeakI, VRated: st.VRated,
-		}), nil
+		return bs.Static.build(bs.DisplayName()), nil
 	default:
 		return NewPresetBuffer(bs.Preset)
 	}
@@ -451,17 +456,11 @@ func (bs BufferSpec) validate() error {
 func NewPresetBuffer(name string) (buffer.Buffer, error) {
 	switch name {
 	case "770 µF":
-		return buffer.NewStatic(buffer.StaticConfig{
-			Name: name, C: 770e-6, VMax: 3.6, LeakI: StaticLeak(770e-6), VRated: 6.3,
-		}), nil
+		return StaticSpec{C: 770e-6}.build(name), nil
 	case "10 mF":
-		return buffer.NewStatic(buffer.StaticConfig{
-			Name: name, C: 10e-3, VMax: 3.6, LeakI: StaticLeak(10e-3), VRated: 6.3,
-		}), nil
+		return StaticSpec{C: 10e-3}.build(name), nil
 	case "17 mF":
-		return buffer.NewStatic(buffer.StaticConfig{
-			Name: name, C: 17e-3, VMax: 3.6, LeakI: StaticLeak(17e-3), VRated: 6.3,
-		}), nil
+		return StaticSpec{C: 17e-3}.build(name), nil
 	case "Morphy":
 		return morphy.New(morphy.DefaultConfig()), nil
 	case "REACT":
@@ -469,11 +468,12 @@ func NewPresetBuffer(name string) (buffer.Buffer, error) {
 	case "Capybara":
 		return capybara.New(capybara.DefaultConfig()), nil
 	case "Dewdrop":
-		// Task-matched to the atomic radio transmission with the
-		// workloads' longevity margin.
+		// A static capacitor with the static defaults, task-matched to the
+		// atomic radio transmission with the workloads' longevity margin.
+		st := StaticSpec{C: 2.2e-3}.withDefaults()
 		return buffer.NewDewdrop(buffer.DewdropConfig{
-			C: 2.2e-3, VMax: 3.6, VMin: 1.8,
-			LeakI: StaticLeak(2.2e-3), VRated: 6.3,
+			C: st.C, VMax: st.VMax, VMin: 1.8,
+			LeakI: st.LeakI, VRated: st.VRated,
 			TaskEnergy: radio.DefaultProfile().TX.Energy(3.3) * workload.LongevityMargin,
 		}), nil
 	}

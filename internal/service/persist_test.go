@@ -3,10 +3,14 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"hash/crc32"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"react/internal/scenario"
 	"react/internal/store"
 )
 
@@ -81,7 +85,7 @@ func TestRestartServesGridFromDisk(t *testing.T) {
 // it mangled (always 1).
 func corruptOneCell(t *testing.T, dir string) {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "cells", "*", "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "cells", "*", "*.cell"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no cell files to corrupt: %v (%d)", err, len(files))
 	}
@@ -129,7 +133,7 @@ func TestCorruptCellQuarantinedAndResimulated(t *testing.T) {
 	if st2.Len() != 6 {
 		t.Errorf("store holds %d cells after repair, want 6", st2.Len())
 	}
-	q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.json"))
+	q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.cell"))
 	if len(q) != 1 {
 		t.Errorf("quarantine holds %d files, want the 1 corrupt entry", len(q))
 	}
@@ -194,5 +198,131 @@ func TestForgetDeletesDiskEntries(t *testing.T) {
 	}
 	if st.Len() != 0 {
 		t.Errorf("store holds %d cells after forget, want 0", st.Len())
+	}
+}
+
+// TestEarlierJSONStoreUpgrades: a data dir written by a build that kept
+// each cell as a <hex>.json JSON envelope opens empty — nothing indexed,
+// nothing quarantined. A run over those addresses simulates each cell
+// once and persists it as a .cell entry, which a restart then serves.
+func TestEarlierJSONStoreUpgrades(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	spec, err := scenario.ParseSpec([]byte(fastSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The earlier envelope around the earlier payload (a cell's plain
+	// JSON), at each of the run's cell addresses.
+	var olds []string
+	for i := range spec.Buffers {
+		fp, err := spec.FingerprintCell(i, scenario.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := spec.Cell(i, scenario.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cellJSON, _ := json.Marshal(res)
+		env, _ := json.Marshal(struct {
+			V    int             `json:"v"`
+			Key  string          `json:"key"`
+			Len  int             `json:"len"`
+			CRC  uint32          `json:"crc32"`
+			Cell json.RawMessage `json:"cell"`
+		}{1, fp, len(cellJSON), crc32.ChecksumIEEE(cellJSON), cellJSON})
+		hex := strings.TrimPrefix(fp, store.Prefix)
+		old := filepath.Join(dir, "cells", hex[:2], hex+".json")
+		if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(old, env, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		olds = append(olds, old)
+	}
+
+	st1 := openStore(t, dir)
+	if st1.Len() != 0 || st1.Quarantined() != 0 {
+		t.Fatalf("earlier-format dir opened with %d entries, %d quarantined; want 0, 0", st1.Len(), st1.Quarantined())
+	}
+	_, c1 := newTestService(t, Config{Workers: 2, Store: st1})
+	if _, err := c1.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)}); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := c1.Metrics(ctx)
+	if n := uint64(len(spec.Buffers)); m.SimsCompleted != n || m.DiskPuts != n || m.DiskQuarantined != 0 {
+		t.Fatalf("sims %d, disk puts %d, quarantined %d; want %d, %d, 0", m.SimsCompleted, m.DiskPuts, m.DiskQuarantined, n, n)
+	}
+	if cells, _ := filepath.Glob(filepath.Join(dir, "cells", "*", "*.cell")); len(cells) != len(spec.Buffers) {
+		t.Fatalf("%d .cell entries persisted, want %d", len(cells), len(spec.Buffers))
+	}
+	for _, old := range olds {
+		if _, err := os.Stat(old); err != nil {
+			t.Errorf("earlier entry %s disturbed: %v", old, err)
+		}
+	}
+	st1.Close()
+
+	_, c2 := newTestService(t, Config{Workers: 2, Store: openStore(t, dir)})
+	if _, err := c2.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)}); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := c2.Metrics(ctx); m.SimsCompleted != 0 || m.DiskHits != uint64(len(spec.Buffers)) {
+		t.Errorf("restart over the upgraded dir: sims %d, disk hits %d; want 0, %d", m.SimsCompleted, m.DiskHits, len(spec.Buffers))
+	}
+}
+
+// TestPromotedSweepWireIdentical pins promotion at the wire: a sweep
+// whose every cell was demoted by the LRU and promoted back from disk
+// serves cells and summary JSON byte-identical to the same sweep served
+// from the memory of the simulation that produced it. pfSpec's workload
+// fills the metrics map.
+func TestPromotedSweepWireIdentical(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestService(t, Config{Workers: 2, CacheCells: 1, Store: openStore(t, t.TempDir())})
+	req := SweepRequest{Spec: json.RawMessage(pfSpec), Seeds: []uint64{1, 2, 3}}
+	body := func(id string) (cells, summary string) {
+		t.Helper()
+		code, b := wireExchange(t, srv, http.MethodGet, "/sweeps/"+id, "")
+		var v struct {
+			Cells   json.RawMessage `json:"cells"`
+			Summary json.RawMessage `json:"summary"`
+		}
+		if code != http.StatusOK || json.Unmarshal([]byte(b), &v) != nil {
+			t.Fatalf("GET /sweeps/%s: %d %s", id, code, b)
+		}
+		return string(v.Cells), string(v.Summary)
+	}
+
+	first, err := c.Sweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memCells, memSummary := body(first.ID)
+	if !strings.Contains(memCells, `"tx": `) {
+		t.Fatalf("pfSpec cells carry no metrics: %s", memCells)
+	}
+	// Another sweep pushes every cell of the first out of the one-cell LRU.
+	if _, err := c.Sweep(ctx, SweepRequest{Spec: json.RawMessage(pfSpec), Seeds: []uint64{4}}); err != nil {
+		t.Fatal(err)
+	}
+	m0, _ := c.Metrics(ctx)
+	again, err := c.Sweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, _ := c.Metrics(ctx)
+	if hits := m1.DiskHits - m0.DiskHits; hits != uint64(len(again.Cells)) || m1.SimsCompleted != m0.SimsCompleted {
+		t.Fatalf("re-sweep promoted %d of %d cells and simulated %d; want all promoted, none simulated",
+			hits, len(again.Cells), m1.SimsCompleted-m0.SimsCompleted)
+	}
+	diskCells, diskSummary := body(again.ID)
+	if diskCells != memCells {
+		t.Errorf("promoted cells differ from memory-served cells:\n%s\n%s", memCells, diskCells)
+	}
+	if diskSummary != memSummary {
+		t.Errorf("promoted summary differs from memory-served summary:\n%s\n%s", memSummary, diskSummary)
 	}
 }

@@ -635,21 +635,6 @@ func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOp
 	return c, cellFresh
 }
 
-// encodeCell and decodeCell are the disk tier's payload codec: the plain
-// JSON of a sim.Result. Go's float64 encoding is shortest-representation
-// and round-trips bit-exactly, so a grid served from disk is bit-identical
-// to the one simulated (recordings excluded — Samples do not persist).
-func encodeCell(res sim.Result) ([]byte, error) {
-	res.Samples = nil
-	return json.Marshal(res)
-}
-
-func decodeCell(payload []byte) (sim.Result, error) {
-	var res sim.Result
-	err := json.Unmarshal(payload, &res)
-	return res, err
-}
-
 // flushPendingLocked groups the pending fresh cells by batch key and schedules
 // one lockstep batch per group, so a sweep's cells sharing a (trace, seed,
 // dt) address make one pass over the trace however many buffers ride it.

@@ -2,31 +2,35 @@
 // cache: a content-addressed store mapping a cell fingerprint
 // ("sha256:<hex>") to its result payload, laid out as
 //
-//	<dir>/cells/<hex[0:2]>/<hex>.json   one envelope per cell
-//	<dir>/quarantine/<hex>.json         entries that failed validation
+//	<dir>/cells/<hex[0:2]>/<hex>.cell   one envelope per cell
+//	<dir>/quarantine/<hex>.cell         entries that failed validation
 //	<dir>/tmp/                          in-flight writes (cleared on Open)
 //
 // plus a compact in-memory index (the key set, rebuilt by a directory
 // scan on Open) so a miss never touches the disk. Writes are atomic —
 // payloads land in tmp/ and are renamed into place — so a crash mid-write
 // leaves either the old entry or none, never a torn file. Every entry is
-// wrapped in an envelope carrying its key, payload length and CRC32;
-// reads validate all three and move anything that fails into quarantine
-// rather than serving it (or deleting the evidence), so one corrupt file
-// costs one re-simulation, not an outage.
+// wrapped in a binary envelope carrying its key, payload length and
+// CRC-32; reads validate all three by slicing the file and move anything
+// that fails into quarantine rather than serving it (or deleting the
+// evidence), so one corrupt file costs one re-simulation, not an outage.
 //
 // The store holds opaque payload bytes: the service layer encodes cell
-// results as JSON before Put and decodes after Get, which keeps this
-// package free of simulation types and reusable for any content-addressed
-// blob (the fingerprint → metrics mapping is exactly the audit-log
-// triangle: content hash as the key, cheap index, bulk store).
+// results before Put and decodes after Get, which keeps this package free
+// of simulation types and reusable for any content-addressed blob (the
+// fingerprint → metrics mapping is exactly the audit-log triangle: content
+// hash as the key, cheap index, bulk store). Files with any other name —
+// among them the <hex>.json entries of the earlier JSON envelope — are
+// not indexed, so they are never served or quarantined: their cells miss
+// once and are rewritten in the current format.
 package store
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,18 +50,68 @@ var (
 	ErrClosed = errors.New("store: closed")
 )
 
-// envelope is the on-disk frame around one payload. Len and CRC32 are
-// validated against the raw payload bytes on every read; Key ties the
-// file's content to its address so a misfiled entry can never be served.
-type envelope struct {
-	V    int             `json:"v"`
-	Key  string          `json:"key"`
-	Len  int             `json:"len"`
-	CRC  uint32          `json:"crc32"`
-	Cell json.RawMessage `json:"cell"`
+// The envelope is the on-disk frame around one payload, all integers
+// little-endian:
+//
+//	magic   4 bytes  "RCEL"
+//	version 1 byte   envelopeV
+//	keyLen  uint32   then keyLen bytes of key
+//	payLen  uint32
+//	crc     uint32   CRC-32 (IEEE) of the payload
+//	payload payLen bytes, ending the file
+//
+// The key ties the file's content to its address, so a misfiled entry can
+// never be served; the length and CRC are validated against the payload
+// bytes on every read.
+const (
+	envelopeMagic = "RCEL"
+	// envelopeV 1 was the JSON envelope of the <hex>.json entries.
+	envelopeV = 2
+	cellExt   = ".cell"
+)
+
+// encodeEnvelope frames payload under key.
+func encodeEnvelope(key string, payload []byte) []byte {
+	b := make([]byte, 0, len(envelopeMagic)+1+4+len(key)+4+4+len(payload))
+	b = append(b, envelopeMagic...)
+	b = append(b, envelopeV)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
-const envelopeV = 1
+// decodeEnvelope validates an entry read for key and returns its payload,
+// a subslice of data; the error says which check failed.
+func decodeEnvelope(key string, data []byte) ([]byte, error) {
+	const head = len(envelopeMagic) + 1 + 4
+	if len(data) < head || string(data[:len(envelopeMagic)]) != envelopeMagic {
+		return nil, errors.New("not a cell envelope")
+	}
+	if v := data[len(envelopeMagic)]; v != envelopeV {
+		return nil, fmt.Errorf("envelope version %d, want %d", v, envelopeV)
+	}
+	rest := data[head:]
+	keyLen := binary.LittleEndian.Uint32(data[head-4 : head])
+	if uint64(keyLen)+8 > uint64(len(rest)) {
+		return nil, errors.New("truncated envelope")
+	}
+	if got := rest[:keyLen]; string(got) != key {
+		return nil, fmt.Errorf("entry is keyed %q", got)
+	}
+	rest = rest[keyLen:]
+	payLen := binary.LittleEndian.Uint32(rest)
+	crc := binary.LittleEndian.Uint32(rest[4:])
+	payload := rest[8:]
+	if uint64(payLen) != uint64(len(payload)) {
+		return nil, fmt.Errorf("payload length %d, envelope says %d", len(payload), payLen)
+	}
+	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, errors.New("payload CRC mismatch")
+	}
+	return payload, nil
+}
 
 // Store is a content-addressed on-disk payload store. Safe for concurrent
 // use; create with Open.
@@ -98,7 +152,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: scanning %s: %w", dir, err)
 		}
 		for _, e := range entries {
-			hex, ok := strings.CutSuffix(e.Name(), ".json")
+			hex, ok := strings.CutSuffix(e.Name(), cellExt)
 			if !ok || e.IsDir() || !validHex(hex) || !strings.HasPrefix(hex, shard.Name()) {
 				continue // not ours; leave it alone
 			}
@@ -162,7 +216,7 @@ func (s *Store) path(key string) (string, string, error) {
 	if !ok || !validHex(hex) {
 		return "", "", fmt.Errorf("store: key %q: want %s<lowercase hex>", key, Prefix)
 	}
-	return filepath.Join(s.dir, cellsDir, hex[:2], hex+".json"), hex, nil
+	return filepath.Join(s.dir, cellsDir, hex[:2], hex+cellExt), hex, nil
 }
 
 // Put stores payload under key, atomically replacing any existing entry.
@@ -177,12 +231,10 @@ func (s *Store) Put(key string, payload []byte) error {
 	if closed {
 		return ErrClosed
 	}
-	data, err := json.Marshal(envelope{
-		V: envelopeV, Key: key, Len: len(payload), CRC: crc32.ChecksumIEEE(payload), Cell: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("store: encoding %s: %w", key, err)
+	if uint64(len(payload)) > math.MaxUint32 {
+		return fmt.Errorf("store: encoding %s: payload of %d bytes exceeds the envelope's 4 GiB", key, len(payload))
 	}
+	data := encodeEnvelope(key, payload)
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpDir), hex+"-*")
 	if err != nil {
 		return fmt.Errorf("store: writing %s: %w", key, err)
@@ -208,7 +260,7 @@ func (s *Store) Put(key string, payload []byte) error {
 }
 
 // Get returns the payload stored under key. A missing entry returns
-// ErrNotFound; an entry that fails envelope, length, key or CRC validation
+// ErrNotFound; an entry that fails envelope, key, length or CRC validation
 // is moved into quarantine/ and reported as ErrCorrupt (a later Get of the
 // same key is then a plain miss).
 func (s *Store) Get(key string) ([]byte, error) {
@@ -236,19 +288,11 @@ func (s *Store) Get(key string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: reading %s: %w", key, err)
 	}
-	var env envelope
-	if uerr := json.Unmarshal(data, &env); uerr != nil {
-		return nil, s.quarantine(key, hex, path, fmt.Sprintf("undecodable envelope: %v", uerr))
+	payload, derr := decodeEnvelope(key, data)
+	if derr != nil {
+		return nil, s.quarantine(key, hex, path, derr.Error())
 	}
-	switch {
-	case env.Key != key:
-		return nil, s.quarantine(key, hex, path, fmt.Sprintf("entry is keyed %q", env.Key))
-	case env.Len != len(env.Cell):
-		return nil, s.quarantine(key, hex, path, fmt.Sprintf("payload length %d, envelope says %d", len(env.Cell), env.Len))
-	case crc32.ChecksumIEEE(env.Cell) != env.CRC:
-		return nil, s.quarantine(key, hex, path, "payload CRC mismatch")
-	}
-	return env.Cell, nil
+	return payload, nil
 }
 
 // Has reports whether key is indexed (without touching the disk).
@@ -292,7 +336,7 @@ func (s *Store) quarantine(key, hex, path, detail string) error {
 	if _, ok := s.index[key]; ok {
 		delete(s.index, key)
 		s.quarantined++
-		if err := os.Rename(path, filepath.Join(s.dir, quarantineDir, hex+".json")); err != nil {
+		if err := os.Rename(path, filepath.Join(s.dir, quarantineDir, hex+cellExt)); err != nil {
 			// Removal is second-best: never leave a corrupt entry servable.
 			os.Remove(path)
 		}

@@ -147,7 +147,7 @@ func TestBadKeysRejected(t *testing.T) {
 func findEntryFile(t *testing.T, dir, k string) string {
 	t.Helper()
 	hex := strings.TrimPrefix(k, Prefix)
-	path := filepath.Join(dir, cellsDir, hex[:2], hex+".json")
+	path := filepath.Join(dir, cellsDir, hex[:2], hex+cellExt)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry file for %s missing: %v", k, err)
 	}
@@ -205,7 +205,7 @@ func TestCorruptEntriesQuarantined(t *testing.T) {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Error("corrupt entry still servable on disk")
 			}
-			q, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*.json"))
+			q, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*"+cellExt))
 			if len(q) != 1 {
 				t.Errorf("quarantine holds %d files, want 1", len(q))
 			}
@@ -240,7 +240,7 @@ func TestMisfiledEntryNeverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	hexB := strings.TrimPrefix(kb, Prefix)
-	pathB := filepath.Join(dir, cellsDir, hexB[:2], hexB+".json")
+	pathB := filepath.Join(dir, cellsDir, hexB[:2], hexB+cellExt)
 	if err := os.MkdirAll(filepath.Dir(pathB), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -286,4 +286,55 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 	if s.Len() != n {
 		t.Errorf("index has %d entries, want %d", s.Len(), n)
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes as the entry file of one key and
+// reads it through a freshly opened store. Get must either return a
+// payload whose Put writes exactly those bytes back, or report
+// ErrCorrupt with the bytes moved, intact, to quarantine. It must never
+// panic. Seeds live in testdata/fuzz/FuzzStoreGet.
+func FuzzStoreGet(f *testing.F) {
+	k := key("fuzz")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		hex := strings.TrimPrefix(k, Prefix)
+		path := filepath.Join(dir, cellsDir, hex[:2], hex+cellExt)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := s.Get(k)
+		switch {
+		case err == nil:
+			if err := s.Put(k, payload); err != nil {
+				t.Fatal(err)
+			}
+			written, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(written, data) {
+				t.Fatalf("served payload %q from an entry Put would not write:\n got file %q\nput writes %q", payload, data, written)
+			}
+		case errors.Is(err, ErrCorrupt):
+			if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+				t.Fatalf("corrupt entry still in place: %v", serr)
+			}
+			q, qerr := os.ReadFile(filepath.Join(dir, quarantineDir, hex+cellExt))
+			if qerr != nil || !bytes.Equal(q, data) {
+				t.Fatalf("quarantine does not hold the entry: %v", qerr)
+			}
+			if s.Quarantined() != 1 || s.Has(k) {
+				t.Fatalf("quarantined %d, indexed %v; want 1, false", s.Quarantined(), s.Has(k))
+			}
+		default:
+			t.Fatalf("get: %v, want a payload or ErrCorrupt", err)
+		}
+	})
 }
