@@ -10,6 +10,7 @@ import (
 
 	"react/internal/explore"
 	"react/internal/scenario"
+	"react/internal/store"
 )
 
 // testNode is one in-process cluster member: a Server behind a real TCP
@@ -23,8 +24,8 @@ type testNode struct {
 
 // newTestCluster boots n reactd nodes sharing one ring. Listeners are
 // created first so every node knows the full member list before any
-// server starts.
-func newTestCluster(t *testing.T, n int, cfg Config) []*testNode {
+// server starts. stores, when given, back node i with stores[i].
+func newTestCluster(t *testing.T, n int, cfg Config, stores ...*store.Store) []*testNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -41,6 +42,9 @@ func newTestCluster(t *testing.T, n int, cfg Config) []*testNode {
 		c := cfg
 		c.Self = urls[i]
 		c.Peers = urls
+		if stores != nil {
+			c.Store = stores[i]
+		}
 		srv, err := New(c)
 		if err != nil {
 			t.Fatal(err)
@@ -96,12 +100,12 @@ func ownerCounts(t *testing.T, urls []string, seeds []uint64) map[string]int {
 }
 
 // TestClusterSweepThenExplorationZeroNewSims is the 2-node acceptance
-// test: a sweep submitted to node A shards its cells across the ring
-// (each cell simulated exactly once, on its owner), and a later
-// overlapping exploration on node B simulates nothing anywhere — B's cell
-// hits rise, sims stay flat on both nodes.
+// test: a sweep submitted to node A shards its cells across the ring —
+// each cell simulated exactly once somewhere in the cluster and persisted
+// on its owner — and a later overlapping exploration on node B simulates
+// nothing anywhere: B's cell hits rise, sims stay flat on both nodes.
 func TestClusterSweepThenExplorationZeroNewSims(t *testing.T) {
-	nodes := newTestCluster(t, 2, Config{Workers: 2})
+	nodes := newTestCluster(t, 2, Config{Workers: 2}, openStore(t, t.TempDir()), openStore(t, t.TempDir()))
 	a, b := nodes[0], nodes[1]
 	ctx := context.Background()
 
@@ -132,19 +136,17 @@ func TestClusterSweepThenExplorationZeroNewSims(t *testing.T) {
 
 	ma0, _ := a.client.Metrics(ctx)
 	mb0, _ := b.client.Metrics(ctx)
-	if got := int(ma0.SimsCompleted); got != want[a.url] {
-		t.Errorf("node A simulated %d cells, owns %d", got, want[a.url])
+	if got := ma0.SimsCompleted + mb0.SimsCompleted; got != 8 {
+		t.Errorf("cluster simulated %d cells (A %d, B %d), want each of 8 once", got, ma0.SimsCompleted, mb0.SimsCompleted)
 	}
-	if got := int(mb0.SimsCompleted); got != want[b.url] {
-		t.Errorf("node B simulated %d cells, owns %d", got, want[b.url])
+	assertOnOwnersDisk(t, nodes, fastSpec, seeds)
+	for _, m := range []*Metrics{ma0, mb0} {
+		if m.DiskPuts != m.SimsCompleted+m.CellsDelegated {
+			t.Errorf("%s: %d disk puts, want %d sims + %d delegated", m.ClusterSelf, m.DiskPuts, m.SimsCompleted, m.CellsDelegated)
+		}
 	}
-	if ma0.PeerCells != uint64(want[b.url]) {
-		t.Errorf("node A fetched %d peer cells, want %d", ma0.PeerCells, want[b.url])
-	}
-	// Fan-out reuses the batch grouping: at most one peer request per
-	// (seed) batch key, not one per cell.
-	if ma0.PeerRequests == 0 || ma0.PeerRequests > uint64(len(seeds)) {
-		t.Errorf("node A made %d peer requests for %d batch keys", ma0.PeerRequests, len(seeds))
+	if ma0.PeerRequests == 0 {
+		t.Error("node A sent no peer requests for a sweep with cells owned by B")
 	}
 	if ma0.PeerFallbacks != 0 {
 		t.Errorf("node A degraded %d times with a healthy peer", ma0.PeerFallbacks)

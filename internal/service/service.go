@@ -155,6 +155,7 @@ type Server struct {
 	diskHits, diskMisses, diskPuts *obs.Counter
 	// Peer fan-out accounting (zero without cluster mode).
 	peerRequests, peerRetries, peerFallbacks, peerCells *obs.Counter
+	cellsDelegated                                      *obs.Counter // owned cells simulated by another member
 
 	// Latency and shape distributions.
 	hCellSim    *obs.Histogram // wall time of the batch pass that produced each cell
@@ -196,16 +197,19 @@ type Server struct {
 	pending []pendingCell
 }
 
-// pendingCell is one fresh cell awaiting batch scheduling. noFwd pins the
-// cell to this node even in cluster mode — set on peer-forwarded
-// submissions so a forwarded cell is answered where it lands, whatever
-// this node's own ring config says.
+// pendingCell is one fresh cell awaiting batch scheduling. noFwd keeps the
+// cell off the cluster planner — set on peer-forwarded submissions so a
+// forwarded cell is answered where it lands, whatever this node's own ring
+// config says. simOn is the member that simulates it: the submission's
+// RunRequest.SimulateOn, or (for travelling cells) the planner's pick.
 type pendingCell struct {
 	c     *cell
 	spec  *scenario.Spec
 	i     int
 	opt   scenario.RunOptions
 	noFwd bool
+	// owner and simOn are filled in by cluster.place at flush time.
+	owner, simOn string
 	// tctx is the attaching view's root span context: the parent of the
 	// batch-group span this cell's simulation will nest under.
 	tctx obs.SpanContext
@@ -245,6 +249,12 @@ type cell struct {
 	done chan struct{} // closed when terminal
 	res  sim.Result
 	err  string // "" = ok
+
+	// awaitsPeer marks a cell whose result comes from a peer run. A pinned
+	// no-forward submission never joins such a cell in flight: the peer
+	// may be waiting on that very submission (a delegation back to this
+	// node), so it simulates a private copy instead. Guarded by Server.mu.
+	awaitsPeer bool
 
 	// Per-cell tick accounting from the batch executor (sim.CellStats),
 	// written before done closes — the close is the happens-before edge, as
@@ -291,9 +301,11 @@ type view struct {
 	spec    *scenario.Spec
 	created time.Time
 
-	// noFwd pins the view's fresh cells to this node in cluster mode;
-	// set on peer-forwarded submissions.
+	// noFwd keeps the view's fresh cells off the cluster planner; set on
+	// peer-forwarded submissions. simOn (RunRequest.SimulateOn) names the
+	// member that simulates the misses of such a submission; "" = here.
 	noFwd bool
+	simOn string
 
 	// Tracing: the submission's root span (ended at finalization) and its
 	// context, under which every batch and cell span nests. The context is
@@ -451,6 +463,7 @@ func (s *Server) initObs() {
 	s.peerRetries = r.Counter("react_peer_retries_total", "Peer submissions retried after a transport failure.")
 	s.peerFallbacks = r.Counter("react_peer_fallbacks_total", "Peer fan-outs degraded to local simulation.")
 	s.peerCells = r.Counter("react_peer_cells_total", "Cells answered by cluster peers.")
+	s.cellsDelegated = r.Counter("react_cells_delegated_total", "Cells this node owns that another ring member simulated; persisted here.")
 	s.waitsRefused = r.Counter("react_view_waits_refused_total", "Long-poll GETs answered at once because the waiter cap was reached.")
 
 	s.hCellSim = r.Histogram("react_cell_sim_duration_seconds",
@@ -578,10 +591,15 @@ const (
 	cellFresh
 )
 
-func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOptions, noFwd bool, tctx obs.SpanContext) (*cell, int) {
+func (s *Server) attachCellLocked(v *view, spec *scenario.Spec, i int, opt scenario.RunOptions) (*cell, int) {
 	fp, _ := spec.FingerprintCell(i, opt)
-	if fp != "" {
-		if c := s.cells[fp]; c != nil {
+	index := fp != ""
+	if c := s.cells[fp]; index && c != nil {
+		if !c.terminal() && c.awaitsPeer && v.noFwd && v.simOn == "" {
+			// A pinned submission never waits on a peer: it simulates a
+			// private, unindexed copy (see cell.awaitsPeer).
+			index = false
+		} else {
 			c.refs++
 			if c.terminal() {
 				// Only successful cells stay in the index, so a terminal
@@ -595,6 +613,7 @@ func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOp
 			s.cellCoalesced.Add(1)
 			return c, cellInFlight
 		}
+	} else if index {
 		// A memory miss consults the disk tier before simulating: a cell
 		// demoted by LRU pressure — or computed before a restart — promotes
 		// back into the cache as an ordinary hit, without a simulation.
@@ -614,7 +633,7 @@ func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOp
 					s.cacheCellLocked(c)
 					s.cellHits.Add(1)
 					s.diskHits.Add(1)
-					s.spans.Event(tctx, "disk-hit", s.node, map[string]string{"buffer": c.buffer})
+					s.spans.Event(v.tctx, "disk-hit", s.node, map[string]string{"buffer": c.buffer})
 					return c, cellCached
 				}
 				// Decodable by the store but not by us (a payload written
@@ -627,22 +646,23 @@ func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOp
 		}
 	}
 	c := &cell{fp: fp, buffer: spec.Buffers[i].DisplayName(), refs: 1, done: make(chan struct{})}
-	if fp != "" {
+	if index {
 		s.cells[fp] = c
 	}
 	s.cellMisses.Add(1)
-	s.pending = append(s.pending, pendingCell{c: c, spec: spec, i: i, opt: opt, noFwd: noFwd, tctx: tctx})
+	s.pending = append(s.pending, pendingCell{c: c, spec: spec, i: i, opt: opt, noFwd: v.noFwd, simOn: v.simOn, tctx: v.tctx})
 	return c, cellFresh
 }
 
 // flushPendingLocked groups the pending fresh cells by batch key and schedules
 // one lockstep batch per group, so a sweep's cells sharing a (trace, seed,
 // dt) address make one pass over the trace however many buffers ride it.
-// In cluster mode each group is further partitioned by ring owner: owned
-// (and untransportable) cells run locally, the rest fan out to their
-// owners — still grouped, so remote fan-out keeps the
-// one-trace-pass-per-seed batching. Called with s.mu held after a
-// submission attaches all its cells.
+// In cluster mode the flush is first placed over the ring (cluster.place:
+// every cell's owner and simulating member), then each group is
+// partitioned by peer route: cells owned and simulated here run locally,
+// the rest travel to their owners or simulating members — still grouped,
+// so remote fan-out keeps the one-trace-pass-per-seed batching. Called
+// with s.mu held after a submission attaches all its cells.
 func (s *Server) flushPendingLocked() {
 	pend := s.pending
 	s.pending = nil
@@ -667,6 +687,13 @@ func (s *Server) flushPendingLocked() {
 		}
 		groups[k] = append(groups[k], p)
 	}
+	if s.cluster != nil {
+		placed := make([][]pendingCell, len(order))
+		for i, k := range order {
+			placed[i] = groups[k]
+		}
+		s.cluster.place(placed)
+	}
 	for _, k := range order {
 		// Fully resolved options apply uniformly to every member, whatever
 		// each spec's own defaults were (resolution is deterministic, so
@@ -677,30 +704,24 @@ func (s *Server) flushPendingLocked() {
 			continue
 		}
 		var local []pendingCell
-		byOwner := map[string][]pendingCell{}
-		var owners []string
+		byRoute := map[peerRoute][]pendingCell{}
+		var routes []peerRoute
 		for _, p := range groups[k] {
-			// Cells that cannot travel stay local: forwarded submissions
-			// (cycle breaking) and preloaded traces (no JSON encoding).
-			if p.noFwd || p.spec.Trace.Loaded != nil {
+			r, remote := s.cluster.route(p)
+			if !remote {
 				local = append(local, p)
 				continue
 			}
-			owner := s.cluster.owner(p.c.fp)
-			if owner == s.cluster.self {
-				local = append(local, p)
-				continue
+			if _, ok := byRoute[r]; !ok {
+				routes = append(routes, r)
 			}
-			if _, ok := byOwner[owner]; !ok {
-				owners = append(owners, owner)
-			}
-			byOwner[owner] = append(byOwner[owner], p)
+			byRoute[r] = append(byRoute[r], p)
 		}
 		if len(local) > 0 {
 			s.startBatch(local, opt)
 		}
-		for _, owner := range owners {
-			s.startPeerGroup(owner, byOwner[owner], opt)
+		for _, r := range routes {
+			s.startPeerGroup(r, byRoute[r], opt)
 		}
 	}
 }
@@ -790,12 +811,14 @@ func (s *Server) memberRelease(group []pendingCell) (context.Context, context.Ca
 }
 
 // Cell result origins for completeCell. Only locally simulated results
-// count in the sims_* metrics and write through to the disk tier —
-// a peer-fetched cell was simulated (and persisted) on its owner, and
-// persisting it here would erode the shards' disjointness.
+// count in the sims_* metrics. Simulated and delegated results write
+// through to the disk tier: a delegated cell is one this node owns and
+// another member simulated. A peer-fetched cell was persisted on its
+// owner, and persisting it here would erode the shards' disjointness.
 const (
 	cellSimulated = iota
 	cellFromPeer
+	cellDelegated
 )
 
 // completeCell records a cell's outcome and manages the cell cache: a
@@ -804,11 +827,11 @@ const (
 // and cancelled cells leave the index so a resubmission simulates afresh.
 //
 // dur is the wall time of the batch pass that produced the cell and cst
-// its per-cell tick accounting — both zero for peer-fetched and cancelled
+// its per-cell tick accounting — both zero for peer-answered and cancelled
 // cells. The sim-duration histogram is observed exactly where simsOK is
 // bumped, so its cumulative count always equals sims_completed.
 func (s *Server) completeCell(c *cell, res sim.Result, err error, origin int, dur time.Duration, cst sim.CellStats) {
-	if err == nil && origin == cellSimulated && c.fp != "" && s.store != nil {
+	if err == nil && origin != cellFromPeer && c.fp != "" && s.store != nil {
 		// Write through before publishing, outside s.mu: the disk write
 		// must not stall attachments, and a cell is only servable from
 		// disk after it is servable from memory anyway.
@@ -827,10 +850,13 @@ func (s *Server) completeCell(c *cell, res sim.Result, err error, origin int, du
 		c.res = res
 		c.ticks = cst.TicksSimulated
 		c.ffTicks = cst.TicksFastForwarded
-		if origin == cellSimulated {
+		switch origin {
+		case cellSimulated:
 			s.simsOK.Add(1)
 			s.rate.Add(1)
 			s.hCellSim.Observe(dur.Seconds())
+		case cellDelegated:
+			s.cellsDelegated.Add(1)
 		}
 		if c.fp != "" && s.cells[c.fp] == c {
 			s.cacheCellLocked(c)
@@ -925,7 +951,7 @@ func (s *Server) newViewLocked(kind *viewKind, spec *scenario.Spec, parent obs.S
 // cache accounting, returning the shared cell. point is the cell's
 // exploration point (ignored for runs and sweeps). Called with s.mu held.
 func (s *Server) addCell(v *view, spec *scenario.Spec, i int, opt scenario.RunOptions, key cellKey, point int) *cell {
-	c, state := s.attachCellLocked(spec, i, opt, v.noFwd, v.tctx)
+	c, state := s.attachCellLocked(v, spec, i, opt)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.cells = append(v.cells, c)
@@ -1078,18 +1104,20 @@ func (s *Server) forgetView(v *view) {
 // only opt.Seed and opt.DT: a run's cells are cached results, so it never
 // records series or drives a probe.
 func (s *Server) Submit(spec *scenario.Spec, opt scenario.RunOptions) *RunStatus {
-	return s.submit(spec, scenario.RunOptions{Seed: opt.Seed, DT: opt.DT}, false, obs.SpanContext{})
+	return s.submit(spec, scenario.RunOptions{Seed: opt.Seed, DT: opt.DT}, false, "", obs.SpanContext{})
 }
 
 // submit is Submit plus the cluster-internal noFwd flag (RunRequest
-// .NoForward): a forwarded run's fresh cells never forward again. parent,
-// when valid, nests the run's root span under the submitter's trace (the
-// HTTP layer fills it from the traceparent header).
+// .NoForward): a forwarded run's fresh cells never forward again — they
+// simulate here, or on simOn (RunRequest.SimulateOn, validated by
+// postRun) through one delegation hop. parent, when valid, nests the
+// run's root span under the submitter's trace (the HTTP layer fills it
+// from the traceparent header).
 //
 // A noFwd run is private: it neither joins nor enters the whole-run
 // index, so the forwarder's cancel of it (runOnPeer) never cancels or
 // forgets a run another client holds. Its cells are still shared per cell.
-func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool, parent obs.SpanContext) *RunStatus {
+func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool, simOn string, parent obs.SpanContext) *RunStatus {
 	s.submitted.Add(1)
 	// A spec with no canonical encoding (Go-only constructors) still runs;
 	// it just cannot be deduplicated or cached.
@@ -1121,7 +1149,7 @@ func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool
 	}
 	v := s.newViewLocked(runKind, spec, parent)
 	v.fp = fp
-	v.noFwd = noFwd
+	v.noFwd, v.simOn = noFwd, simOn
 	s.attachLatticeLocked(v, ax)
 	// The submission's cache disposition: a run with no fresh cells was
 	// served entirely from shared cells — from the cache when nothing is
@@ -1403,6 +1431,7 @@ func (s *Server) metrics() *Metrics {
 		m.PeerRetries = s.peerRetries.Load()
 		m.PeerFallbacks = s.peerFallbacks.Load()
 		m.PeerCells = s.peerCells.Load()
+		m.CellsDelegated = s.cellsDelegated.Load()
 	}
 	if m.Submitted > 0 {
 		m.CacheHitRate = float64(m.CacheHits+m.Coalesced) / float64(m.Submitted)
@@ -1508,10 +1537,14 @@ func (s *Server) postRun(rr *RunRequest, parent obs.SpanContext) (*RunStatus, er
 	opt := scenario.RunOptions{Seed: rr.Seed, DT: rr.DT}
 	// Zero means "the spec's default", so the contract is finite and
 	// non-negative — not "positive".
-	if err := opt.Validate(); err != nil {
+	if err = opt.Validate(); err != nil {
 		return nil, err
 	}
-	return s.submit(spec, opt, rr.NoForward, parent), nil
+	simOn, err := s.validSimulateOn(rr)
+	if err != nil {
+		return nil, err
+	}
+	return s.submit(spec, opt, rr.NoForward, simOn, parent), nil
 }
 
 func (s *Server) postSweep(sr *SweepRequest, parent obs.SpanContext) (*SweepStatus, error) {

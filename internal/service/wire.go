@@ -49,6 +49,14 @@ type RunRequest struct {
 	// Such a run gets an id of its own: it is never merged with an
 	// identical run, though its cells are shared with it.
 	NoForward bool `json:"no_forward,omitempty"`
+	// SimulateOn, with NoForward, asks the receiving node to simulate the
+	// run's cache misses on another ring member: the receiver owns the
+	// cells, answers its hits, delegates its misses to that member and
+	// persists them when they return. Set by a peer whose placement put an
+	// owned-elsewhere cell on a less-loaded member. It must name a ring
+	// member; anything else, or a request without NoForward or to a node
+	// outside cluster mode, is refused with 400.
+	SimulateOn string `json:"simulate_on,omitempty"`
 }
 
 // CellResult is one buffer's completed simulation, the service's view of a
@@ -87,10 +95,13 @@ func toCellResult(r sim.Result) *CellResult {
 // the simulation fields a peer's response carries are enough to assemble
 // views, summaries and persisted entries bit-identically (Duty and
 // BalanceError are derived, so they are not read back). The workload name
-// and any recording are not on the wire and stay zero.
-func fromCellResult(cr *CellResult, buffer string) sim.Result {
+// is not on the wire: the caller passes the spec's bench, which is every
+// workload's Name, so a delegated cell persists the bytes a local
+// simulation writes. Recordings stay zero.
+func fromCellResult(cr *CellResult, buffer, workload string) sim.Result {
 	return sim.Result{
 		Buffer:        buffer,
+		Workload:      workload,
 		Latency:       cr.Latency,
 		OnTime:        cr.OnTime,
 		Duration:      cr.Duration,
@@ -385,13 +396,17 @@ type Metrics struct {
 
 	// Cluster accounting, present in cluster mode: ring identity, peer
 	// run submissions (with retries), fan-outs degraded to local
-	// simulation, and cells answered by peers.
-	ClusterSelf   string `json:"cluster_self,omitempty"`
-	ClusterPeers  int    `json:"cluster_peers,omitempty"`
-	PeerRequests  uint64 `json:"peer_requests,omitempty"`
-	PeerRetries   uint64 `json:"peer_retries,omitempty"`
-	PeerFallbacks uint64 `json:"peer_fallbacks,omitempty"`
-	PeerCells     uint64 `json:"peer_cells,omitempty"`
+	// simulation, cells answered by peers, and owned cells another member
+	// simulated (persisted here). With a disk tier and content-addressed
+	// cells, a node's disk_puts equals its sims_completed plus
+	// cells_delegated.
+	ClusterSelf    string `json:"cluster_self,omitempty"`
+	ClusterPeers   int    `json:"cluster_peers,omitempty"`
+	PeerRequests   uint64 `json:"peer_requests,omitempty"`
+	PeerRetries    uint64 `json:"peer_retries,omitempty"`
+	PeerFallbacks  uint64 `json:"peer_fallbacks,omitempty"`
+	PeerCells      uint64 `json:"peer_cells,omitempty"`
+	CellsDelegated uint64 `json:"cells_delegated,omitempty"`
 }
 
 // TraceResponse is the GET trace report. The per-view endpoints
