@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,9 @@ type testNode struct {
 	client *Client
 	url    string
 	http   *http.Server
+
+	// intercept, when set, sees every request before the server does.
+	intercept atomic.Pointer[func(*http.Request)]
 }
 
 // newTestCluster boots n reactd nodes sharing one ring. Listeners are
@@ -49,9 +53,15 @@ func newTestCluster(t *testing.T, n int, cfg Config, stores ...*store.Store) []*
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := &http.Server{Handler: srv}
-		go hs.Serve(lns[i])
-		nodes[i] = &testNode{srv: srv, url: urls[i], http: hs}
+		nd := &testNode{srv: srv, url: urls[i]}
+		nd.http = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if f := nd.intercept.Load(); f != nil {
+				(*f)(r)
+			}
+			srv.ServeHTTP(w, r)
+		})}
+		go nd.http.Serve(lns[i])
+		nodes[i] = nd
 	}
 	t.Cleanup(func() {
 		// HTTP first so no new work lands, then the servers (in-flight
@@ -145,8 +155,10 @@ func TestClusterSweepThenExplorationZeroNewSims(t *testing.T) {
 			t.Errorf("%s: %d disk puts, want %d sims + %d delegated", m.ClusterSelf, m.DiskPuts, m.SimsCompleted, m.CellsDelegated)
 		}
 	}
-	if ma0.PeerRequests == 0 {
-		t.Error("node A sent no peer requests for a sweep with cells owned by B")
+	// Fan-out reuses the batch grouping: one peer request per (seed, route)
+	// pair, not one per cell.
+	if wantA, wantB := wantPeerRequests(t, a, fastSpec, seeds); ma0.PeerRequests != wantA || mb0.PeerRequests != wantB {
+		t.Errorf("peer requests A %d, B %d; want %d, %d", ma0.PeerRequests, mb0.PeerRequests, wantA, wantB)
 	}
 	if ma0.PeerFallbacks != 0 {
 		t.Errorf("node A degraded %d times with a healthy peer", ma0.PeerFallbacks)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -241,6 +242,45 @@ func assertOnOwnersDisk(t *testing.T, nodes []*testNode, specJSON string, seeds 
 	}
 }
 
+// wantPeerRequests replays the placement of a sweep of a spec over seeds
+// submitted to nd — its cells in attach order, grouped by seed (the batch
+// key) — and counts the peer requests its fan-out makes. Travelling cells
+// stay grouped, so nd sends one request per (seed, route) pair, never one
+// per cell, and an owner answering a simulate_on forward with misses sends
+// one delegation for it.
+func wantPeerRequests(t *testing.T, nd *testNode, specJSON string, seeds []uint64) (coordinator, owners uint64) {
+	t.Helper()
+	spec, err := scenario.ParseSpec([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := make([][]pendingCell, len(seeds))
+	for g, seed := range seeds {
+		for i := range spec.Buffers {
+			fp, err := spec.FingerprintCell(i, scenario.RunOptions{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups[g] = append(groups[g], pendingCell{c: &cell{fp: fp}, spec: spec, i: i})
+		}
+	}
+	cl := nd.srv.cluster
+	cl.place(groups)
+	for _, g := range groups {
+		routes := map[peerRoute]bool{}
+		for _, p := range g {
+			if r, remote := cl.route(p); remote && !routes[r] {
+				routes[r] = true
+				coordinator++
+				if r.simOn != "" {
+					owners++
+				}
+			}
+		}
+	}
+	return coordinator, owners
+}
+
 // seedOwnedBy returns a seed whose every multiSpec cell the given member
 // owns.
 func seedOwnedBy(t *testing.T, nodes []*testNode, member string) uint64 {
@@ -296,6 +336,10 @@ func TestClusterBalancesOneOwnerRun(t *testing.T) {
 			if d := ma1.CellsDelegated + mb1.CellsDelegated - ma0.CellsDelegated - mb0.CellsDelegated; d == 0 {
 				t.Error("no cell was delegated")
 			}
+			wantA, wantB := wantPeerRequests(t, a, multiSpec, []uint64{seed})
+			if gotA, gotB := ma1.PeerRequests-ma0.PeerRequests, mb1.PeerRequests-mb0.PeerRequests; gotA != wantA || gotB != wantB {
+				t.Errorf("peer requests A %d, B %d; want one per (seed, route): %d, %d", gotA, gotB, wantA, wantB)
+			}
 			assertOnOwnersDisk(t, nodes, multiSpec, []uint64{seed})
 
 			// The owner's trace records where each cell ran: a delegate
@@ -346,6 +390,76 @@ func TestClusterBalancesOneOwnerRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOverlappingCoordinatorsSimulateOnce: node B owns every cell of a
+// four-buffer run and delegates part of it to node A; while that
+// delegation is held at A's door, an overlapping one-buffer run on A
+// forwards one of the delegated cells to B. B joins its own cell in
+// flight rather than simulating a copy, and A, receiving the delegation
+// with the cell already waiting on B, simulates it — so the two views
+// simulate each cell once between them.
+func TestOverlappingCoordinatorsSimulateOnce(t *testing.T) {
+	nodes := newTestCluster(t, 2, Config{Workers: 2}, openStore(t, t.TempDir()), openStore(t, t.TempDir()))
+	a, b := nodes[0], nodes[1]
+	ctx := context.Background()
+	seed := seedOwnedBy(t, nodes, b.url)
+
+	// B's plan for the four cells (TestPlanSims "one owner, mixed kinds")
+	// puts 770 µF and Morphy on A. A alone with Morphy keeps it on B.
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	unblock := mustUnblock(t, release)
+	hold := func(r *http.Request) {
+		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/runs") {
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var rr RunRequest
+		if json.Unmarshal(body, &rr) == nil && rr.NoForward {
+			arrived <- struct{}{}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}
+	}
+	a.intercept.Store(&hold)
+
+	full, err := b.client.RunAsync(ctx, RunRequest{Spec: json.RawMessage(multiSpec), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-arrived // B's delegation waits at A's door
+	morphy := strings.Replace(multiSpec, `{"preset": "770 µF"}, {"preset": "10 mF"}, {"preset": "Morphy"}, {"preset": "REACT"}`, `{"preset": "Morphy"}`, 1)
+	part, err := a.client.RunAsync(ctx, RunRequest{Spec: json.RawMessage(morphy), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "A's forward on B", func() bool {
+		b.srv.mu.Lock()
+		defer b.srv.mu.Unlock()
+		for _, v := range b.srv.views {
+			if v.kind == runKind && v.noFwd {
+				return true
+			}
+		}
+		return false
+	})
+	unblock()
+
+	for _, rr := range []*RemoteRun{full, part} {
+		if st, err := rr.Wait(ctx); err != nil || st.Status != StatusDone {
+			t.Fatalf("run %s: %v %+v", rr.ID, err, st)
+		}
+	}
+	ma, _ := a.client.Metrics(ctx)
+	mb, _ := b.client.Metrics(ctx)
+	if ma.SimsCompleted != 2 || mb.SimsCompleted != 2 {
+		t.Errorf("sims A %d, B %d; want 2 and 2, each of the 4 cells once", ma.SimsCompleted, mb.SimsCompleted)
+	}
+	assertOnOwnersDisk(t, nodes, multiSpec, []uint64{seed})
 }
 
 // TestCancelThroughSimulateOnHop: node B owns both cells of a run

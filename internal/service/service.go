@@ -251,9 +251,12 @@ type cell struct {
 	err  string // "" = ok
 
 	// awaitsPeer marks a cell whose result comes from a peer run. A pinned
-	// no-forward submission never joins such a cell in flight: the peer
-	// may be waiting on that very submission (a delegation back to this
-	// node), so it simulates a private copy instead. Guarded by Server.mu.
+	// no-forward submission never joins such a cell in flight when this
+	// node does not own it: the cell then waits on its owner, and the
+	// owner may be waiting on that very submission (a delegation back to
+	// this node), so it simulates a private copy instead. An owned cell
+	// waits on a delegate, which never waits on its owner, so it is
+	// joined. Guarded by Server.mu.
 	awaitsPeer bool
 
 	// Per-cell tick accounting from the batch executor (sim.CellStats),
@@ -595,7 +598,7 @@ func (s *Server) attachCellLocked(v *view, spec *scenario.Spec, i int, opt scena
 	fp, _ := spec.FingerprintCell(i, opt)
 	index := fp != ""
 	if c := s.cells[fp]; index && c != nil {
-		if !c.terminal() && c.awaitsPeer && v.noFwd && v.simOn == "" {
+		if !c.terminal() && c.awaitsPeer && v.noFwd && v.simOn == "" && s.cluster.owner(fp) != s.cluster.self {
 			// A pinned submission never waits on a peer: it simulates a
 			// private, unindexed copy (see cell.awaitsPeer).
 			index = false
