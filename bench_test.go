@@ -29,13 +29,25 @@ func rfTraces() []*react.Trace {
 	return []*react.Trace{react.RFCart(1), react.RFObstructed(1), react.RFMobile(1)}
 }
 
-// runRow adapts the experiments cell factory to the engine's grid row
-// signature: one benchmark × trace row, every buffer in axis order.
+// runCell simulates one (trace × preset buffer × benchmark) cell through an
+// inline one-buffer scenario, with the trace supplied directly.
+func runCell(tr *react.Trace, buf, bench string, opt react.ScenarioOptions) (react.Result, error) {
+	sp := &react.Scenario{
+		Name:     "bench-cell",
+		Trace:    react.ScenarioTrace{Loaded: tr},
+		Workload: react.ScenarioWorkload{Bench: bench},
+		Buffers:  []react.ScenarioBuffer{{Preset: buf}},
+	}
+	return sp.Cell(0, opt)
+}
+
+// runRow adapts runCell to the engine's grid row signature: one
+// benchmark × trace row, every buffer in axis order.
 func runRow(_ context.Context, bench string, tr *react.Trace, buffers []string) ([]react.Result, error) {
 	res := make([]react.Result, len(buffers))
 	for i, buf := range buffers {
 		var err error
-		if res[i], err = experiments.RunCell(tr, buf, bench, experiments.Options{}); err != nil {
+		if res[i], err = runCell(tr, buf, bench, react.ScenarioOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -115,7 +127,7 @@ func BenchmarkTable5_PF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := react.Sweep(context.Background(), nil, rfTraces(),
 			func(_ context.Context, tr *react.Trace) (react.Result, error) {
-				return experiments.RunCell(tr, "REACT", "PF", experiments.Options{})
+				return runCell(tr, "REACT", "PF", react.ScenarioOptions{})
 			})
 		if err != nil {
 			b.Fatal(err)
@@ -138,8 +150,7 @@ func BenchmarkSeedSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		blocks, err := react.Sweep(context.Background(), nil, react.SweepSeeds(5),
 			func(_ context.Context, seed uint64) (float64, error) {
-				r, err := experiments.RunCell(react.RFCart(seed), "REACT", "DE",
-					experiments.Options{Seed: seed})
+				r, err := runCell(react.RFCart(seed), "REACT", "DE", react.ScenarioOptions{Seed: seed})
 				if err != nil {
 					return 0, err
 				}
@@ -168,12 +179,12 @@ func BenchmarkSeedSweep(b *testing.B) {
 func BenchmarkFigure1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Figure1(experiments.Options{})
+		runs, err := experiments.Figure1(react.ScenarioOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(runs[0].Result.Cycles), "cycles_1mF")
-		b.ReportMetric(runs[1].Result.Latency/runs[0].Result.Latency, "charge_ratio")
+		b.ReportMetric(float64(runs[0].Cycles), "cycles_1mF")
+		b.ReportMetric(runs[1].Latency/runs[0].Latency, "charge_ratio")
 	}
 }
 
@@ -182,7 +193,7 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure6(experiments.Options{})
+		series, err := experiments.Figure6(react.ScenarioOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +207,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := experiments.RunGrid(experiments.Options{})
+		g, err := experiments.RunGrid(react.ScenarioOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,7 +223,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkBackgroundStats(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bg, err := experiments.RunBackground(experiments.Options{})
+		bg, err := experiments.RunBackground(react.ScenarioOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +236,7 @@ func BenchmarkBackgroundStats(b *testing.B) {
 func BenchmarkOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o, err := experiments.RunOverhead(experiments.Options{})
+		o, err := experiments.RunOverhead(react.ScenarioOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,7 +384,7 @@ func BenchmarkAblationTimestep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		blocks, err := react.Sweep(context.Background(), nil, []float64{0.5e-3, 1e-3, 2e-3},
 			func(_ context.Context, dt float64) (float64, error) {
-				r, err := experiments.RunCell(react.RFCart(1), "REACT", "DE", experiments.Options{DT: dt})
+				r, err := runCell(react.RFCart(1), "REACT", "DE", react.ScenarioOptions{DT: dt})
 				if err != nil {
 					return 0, err
 				}

@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,105 +24,127 @@ import (
 
 	"react/internal/experiments"
 	"react/internal/runner"
+	"react/internal/scenario"
+	"react/internal/sim"
 )
 
-func main() {
-	var (
-		fig     = flag.String("fig", "1", "which figure: 1, 6, 7, background")
-		seed    = flag.Uint64("seed", 1, "trace/event seed")
-		out     = flag.String("out", "figures", "output directory for CSV series")
-		workers = flag.Int("workers", 0, "worker pool size for the grid (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	opt := experiments.Options{Seed: *seed}
+// run is main's body with explicit arguments and streams, returning the
+// exit code: 0 on success, 1 on a failed run, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig     = fs.String("fig", "1", "which figure: 1, 6, 7, background")
+		seed    = fs.Uint64("seed", 1, "trace/event seed")
+		out     = fs.String("out", "figures", "output directory for CSV series")
+		workers = fs.Int("workers", 0, "worker pool size for the grid (0 = GOMAXPROCS)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	opt := scenario.RunOptions{Seed: *seed}
+	var err error
 	switch *fig {
 	case "1":
-		runs, err := experiments.Figure1(opt)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		for _, r := range runs {
-			name := filepath.Join(*out, "fig1_"+sanitize(r.Label)+".csv")
-			if err := writeSeries(name, r.Label, r); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("fig1 %-8s latency %7.1f s  on %6.0f s  cycles %4d  -> %s\n",
-				r.Label, r.Result.Latency, r.Result.OnTime, r.Result.Cycles, name)
-		}
+		err = figure1(stdout, *out, opt)
 	case "6":
-		series, err := experiments.Figure6(opt)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		names := make([]string, 0, len(series))
-		for n := range series {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			file := filepath.Join(*out, "fig6_"+sanitize(n)+".csv")
-			f, err := os.Create(file)
-			if err != nil {
-				fatal(err)
-			}
-			if err := experiments.WriteSeriesCSV(f, n, series[n]); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			f.Close()
-			fmt.Printf("fig6 %-8s %5d samples -> %s\n", n, len(series[n]), file)
-		}
+		err = figure6(stdout, *out, opt)
 	case "7":
-		fmt.Fprintln(os.Stderr, "figures: running the evaluation grid...")
+		fmt.Fprintln(stderr, "figures: running the evaluation grid...")
 		r := &runner.Runner{
 			Workers: *workers,
 			OnProgress: func(p runner.Progress) {
-				fmt.Fprintf(os.Stderr, "\rfigures: %d/%d cells", p.Done, p.Total)
+				fmt.Fprintf(stderr, "\rfigures: %d/%d cells", p.Done, p.Total)
 				if p.Done == p.Total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			},
 		}
-		grid, err := experiments.RunGridOn(context.Background(), r, opt)
-		if err != nil {
-			fatal(err)
+		var grid *experiments.Grid
+		if grid, err = experiments.RunGridOn(context.Background(), r, opt); err == nil {
+			fmt.Fprint(stdout, experiments.ComputeFigure7(grid).Table().String())
 		}
-		fmt.Print(experiments.ComputeFigure7(grid).Table().String())
 	case "background":
-		bg, err := experiments.RunBackground(opt)
-		if err != nil {
-			fatal(err)
+		var bg experiments.Background
+		if bg, err = experiments.RunBackground(opt); err == nil {
+			fmt.Fprint(stdout, bg.Table().String())
 		}
-		fmt.Print(bg.Table().String())
 	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", *fig)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "figures: unknown figure %q\n", *fig)
+		return 2
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return 1
+	}
+	return 0
 }
 
-func writeSeries(name, label string, r experiments.Figure1Run) error {
+// figure1 writes one CSV series per Figure 1 buffer under dir.
+func figure1(stdout io.Writer, dir string, opt scenario.RunOptions) error {
+	runs, err := experiments.Figure1(opt)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, r := range runs {
+		name := filepath.Join(dir, "fig1_"+sanitize(r.Buffer)+".csv")
+		if err := writeSeries(name, r.Buffer, r.Samples); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "fig1 %-8s latency %7.1f s  on %6.0f s  cycles %4d  -> %s\n",
+			r.Buffer, r.Latency, r.OnTime, r.Cycles, name)
+	}
+	return nil
+}
+
+// figure6 writes one CSV series per Figure 6 buffer under dir, in name
+// order.
+func figure6(stdout io.Writer, dir string, opt scenario.RunOptions) error {
+	series, err := experiments.Figure6(opt)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(series))
+	for n := range series {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		file := filepath.Join(dir, "fig6_"+sanitize(n)+".csv")
+		if err := writeSeries(file, n, series[n]); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "fig6 %-8s %5d samples -> %s\n", n, len(series[n]), file)
+	}
+	return nil
+}
+
+func writeSeries(name, label string, samples []sim.Sample) error {
 	f, err := os.Create(name)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return experiments.WriteSeriesCSV(f, label, r.Samples)
+	if err := experiments.WriteSeriesCSV(f, label, samples); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func sanitize(s string) string {
 	s = strings.ReplaceAll(s, " ", "_")
 	s = strings.ReplaceAll(s, "µ", "u")
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
 }

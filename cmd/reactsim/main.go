@@ -99,16 +99,42 @@ var traceAliases = map[string]string{
 	"commute":    "solar-commute",
 }
 
-func namedTrace(name string, seed uint64) (*trace.Trace, error) {
+// traceSpec resolves -trace (a generator name or short alias) or
+// -tracefile (a CSV trace, loaded once and shared by every cell) into a
+// spec's trace selection.
+func traceSpec(name, file string) (scenario.TraceSpec, error) {
+	if file != "" {
+		f, err := os.Open(file)
+		if err != nil {
+			return scenario.TraceSpec{}, err
+		}
+		defer f.Close()
+		tr, err := trace.ReadCSV(file, f)
+		return scenario.TraceSpec{Loaded: tr}, err
+	}
 	if canon, ok := traceAliases[name]; ok {
 		name = canon
 	}
-	tr, err := trace.ByName(name, seed)
-	if err != nil {
-		return nil, fmt.Errorf("unknown trace %q (want a short name — cart, obstructed, mobile, campus, commute — or a generator: %v)",
+	if !trace.KnownGenerator(name) {
+		return scenario.TraceSpec{}, fmt.Errorf("unknown trace %q (want a short name — cart, obstructed, mobile, campus, commute — or a generator: %v)",
 			name, trace.GeneratorNames())
 	}
-	return tr, nil
+	return scenario.TraceSpec{Gen: name}, nil
+}
+
+// cellSpec builds the inline one-cell spec of the single-cell and -seeds
+// modes: one trace, one preset buffer, one benchmark.
+func cellSpec(traceName, traceFile, bufName, bench string) (*scenario.Spec, error) {
+	ts, err := traceSpec(traceName, traceFile)
+	if err != nil {
+		return nil, err
+	}
+	return &scenario.Spec{
+		Name:     "reactsim-cell",
+		Trace:    ts,
+		Workload: scenario.WorkloadSpec{Bench: bench},
+		Buffers:  scenario.Presets(bufName),
+	}, nil
 }
 
 func main() { os.Exit(run()) }
@@ -261,8 +287,8 @@ func run() int {
 		return 2
 	}
 
-	// The experiment factories panic on unknown names (a fixed set); turn
-	// bad CLI input into a friendly error instead of a stack trace.
+	// Check the buffer and benchmark names up front, so bad CLI input is a
+	// usage error (exit 2) listing the valid names.
 	if err := validateNames(*bufName, *bench); err != nil {
 		fmt.Fprintln(os.Stderr, "reactsim:", err)
 		return 2
@@ -280,13 +306,18 @@ func run() int {
 		return 0
 	}
 
-	tr, err := loadTrace(*traceName, *traceFile, *seed)
+	spec, err := cellSpec(*traceName, *traceFile, *bufName, *bench)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reactsim:", err)
+		return 1
+	}
+	tr, err := spec.Trace.Build(*seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reactsim:", err)
 		return 1
 	}
 
-	opt := experiments.Options{Seed: *seed, DT: *dt}
+	opt := scenario.RunOptions{Seed: *seed, DT: *dt}
 	if *record != "" {
 		opt.RecordDT = 0.5
 	}
@@ -296,7 +327,7 @@ func run() int {
 		tl.Label(0, *bufName+" / "+*bench)
 		opt.Probe = tl
 	}
-	res, err := experiments.RunCell(tr, *bufName, *bench, opt)
+	res, err := spec.Cell(0, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reactsim:", err)
 		return 1
@@ -361,7 +392,7 @@ func listScenarios() {
 	fmt.Println("Extended scenarios:")
 	for _, s := range specs {
 		if !s.Paper {
-			fmt.Printf("  %-20s %s\n", s.Name, s.Title)
+			fmt.Printf("  %-22s %s\n", s.Name, s.Title)
 		}
 	}
 	fmt.Println("\nPaper evaluation grid:")
@@ -544,53 +575,42 @@ func writeResultTable(w io.Writer, cells []service.CellStatus) {
 
 func validateNames(buf, bench string) error {
 	ok := false
-	for _, b := range experiments.ExtendedBufferNames {
+	for _, b := range scenario.PresetBuffers {
 		if b == buf {
 			ok = true
 		}
 	}
 	if !ok {
-		return fmt.Errorf("unknown buffer %q (want %v)", buf, experiments.ExtendedBufferNames)
+		return fmt.Errorf("unknown buffer %q (want %v)", buf, scenario.PresetBuffers)
 	}
-	for _, b := range experiments.BenchmarkNames {
+	for _, b := range scenario.PaperBenchmarks {
 		if b == bench {
 			return nil
 		}
 	}
-	return fmt.Errorf("unknown benchmark %q (want %v)", bench, experiments.BenchmarkNames)
+	return fmt.Errorf("unknown benchmark %q (want %v)", bench, scenario.PaperBenchmarks)
 }
 
-// sweepSeeds runs the scenario once per seed in 1..n over the experiment
-// engine's worker pool and prints each metric's mean ± standard deviation,
-// plus latency and duty-cycle aggregates.
+// sweepSeeds runs the one-cell spec once per seed in 1..n over the
+// experiment engine's worker pool and prints each metric's mean ± standard
+// deviation, plus latency and duty-cycle aggregates.
 func sweepSeeds(traceName, traceFile, bufName, bench string, n int, dt float64) error {
-	label := traceName
-	var fileTrace *trace.Trace
-	if traceFile != "" {
-		// A file trace does not vary with the seed (only the workload's
-		// event schedule does); load it once, not once per worker.
-		tr, err := loadTrace(traceName, traceFile, 1)
-		if err != nil {
-			return err
-		}
-		fileTrace = tr
-		label = traceFile
+	spec, err := cellSpec(traceName, traceFile, bufName, bench)
+	if err != nil {
+		return err
 	}
 	results, err := runner.Sweep(context.Background(), nil, runner.Seeds(n),
 		func(_ context.Context, seed uint64) (sim.Result, error) {
-			tr := fileTrace
-			if tr == nil {
-				var err error
-				if tr, err = namedTrace(traceName, seed); err != nil {
-					return sim.Result{}, err
-				}
-			}
-			return experiments.RunCell(tr, bufName, bench, experiments.Options{Seed: seed, DT: dt})
+			return spec.Cell(0, scenario.RunOptions{Seed: seed, DT: dt})
 		})
 	if err != nil {
 		return err
 	}
 
+	label := traceName
+	if traceFile != "" {
+		label = traceFile
+	}
 	fmt.Printf("sweep    %s / %s / %s over %d seeds\n", label, bufName, bench, n)
 	printSeedSummary(scenario.AggregateSeeds(results))
 	return nil
@@ -921,16 +941,4 @@ func printExploreResult(res *explore.Result) {
 		}
 		fmt.Println()
 	}
-}
-
-func loadTrace(name, file string, seed uint64) (*trace.Trace, error) {
-	if file == "" {
-		return namedTrace(name, seed)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.ReadCSV(file, f)
 }

@@ -11,44 +11,58 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"react/internal/experiments"
 	"react/internal/runner"
+	"react/internal/scenario"
 )
 
-func main() {
-	var (
-		which   = flag.String("table", "all", "which table: 1, 2, 3, 4, 5, overhead, fig7, all")
-		seed    = flag.Uint64("seed", 1, "trace/event seed")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		workers = flag.Int("workers", 0, "worker pool size for the grid (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	opt := experiments.Options{Seed: *seed}
+// run is main's body with explicit arguments and streams, returning the
+// exit code: 0 on success, 1 on a failed run, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		which   = fs.String("table", "all", "which table: 1, 2, 3, 4, 5, overhead, fig7, all")
+		seed    = fs.Uint64("seed", 1, "trace/event seed")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		workers = fs.Int("workers", 0, "worker pool size for the grid (0 = GOMAXPROCS)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	opt := scenario.RunOptions{Seed: *seed}
 	var tables []*experiments.Table
 
 	needGrid := map[string]bool{"2": true, "4": true, "5": true, "fig7": true, "all": true}[*which]
 	var grid *experiments.Grid
 	if needGrid {
 		var err error
-		fmt.Fprintln(os.Stderr, "tables: running the evaluation grid (4 benchmarks × 5 traces × 5 buffers)...")
+		fmt.Fprintln(stderr, "tables: running the evaluation grid (4 benchmarks × 5 traces × 5 buffers)...")
 		r := &runner.Runner{
 			Workers: *workers,
 			OnProgress: func(p runner.Progress) {
-				fmt.Fprintf(os.Stderr, "\rtables: %d/%d cells", p.Done, p.Total)
+				fmt.Fprintf(stderr, "\rtables: %d/%d cells", p.Done, p.Total)
 				if p.Done == p.Total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			},
 		}
 		grid, err = experiments.RunGridOn(context.Background(), r, opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "tables:", err)
+			return 1
 		}
 	}
 
@@ -69,8 +83,8 @@ func main() {
 	case "overhead":
 		o, err := experiments.RunOverhead(opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "tables:", err)
+			return 1
 		}
 		add(o.Table())
 	case "all":
@@ -82,23 +96,24 @@ func main() {
 		add(experiments.ComputeFigure7(grid).Table())
 		o, err := experiments.RunOverhead(opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "tables:", err)
+			return 1
 		}
 		add(o.Table())
 	default:
-		fmt.Fprintf(os.Stderr, "tables: unknown table %q\n", *which)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tables: unknown table %q\n", *which)
+		return 2
 	}
 
 	for i, t := range tables {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if *csv {
-			fmt.Print(t.CSV())
+			fmt.Fprint(stdout, t.CSV())
 		} else {
-			fmt.Print(t.String())
+			fmt.Fprint(stdout, t.String())
 		}
 	}
+	return 0
 }

@@ -3,20 +3,36 @@ package experiments
 import (
 	"context"
 	"math"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"react/internal/runner"
+	"react/internal/scenario"
+	"react/internal/service"
 	"react/internal/sim"
 	"react/internal/trace"
 )
+
+// runCell simulates one (trace × preset buffer × benchmark) cell through an
+// inline one-buffer spec, with the trace supplied directly.
+func runCell(tr *trace.Trace, buf, bench string, opt scenario.RunOptions) (sim.Result, error) {
+	sp := scenario.Spec{
+		Name:     "test-cell",
+		Trace:    scenario.TraceSpec{Loaded: tr},
+		Workload: scenario.WorkloadSpec{Bench: bench},
+		Buffers:  scenario.Presets(buf),
+	}
+	return sp.Cell(0, opt)
+}
 
 // TestCellEnergyConservation verifies the full-stack energy ledger balances
 // for one cell of every buffer design.
 func TestCellEnergyConservation(t *testing.T) {
 	tr := trace.RFCart(1)
 	for _, buf := range BufferNames {
-		r, err := RunCell(tr, buf, "SC", Options{})
+		r, err := runCell(tr, buf, "SC", scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +50,7 @@ func TestLatencyShape(t *testing.T) {
 	tr := trace.RFObstructed(1)
 	lat := map[string]float64{}
 	for _, buf := range BufferNames {
-		r, err := RunCell(tr, buf, "DE", Options{})
+		r, err := runCell(tr, buf, "DE", scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +76,7 @@ func TestSmallBufferWinsLowPower(t *testing.T) {
 	tr := trace.RFObstructed(1)
 	perf := map[string]float64{}
 	for _, buf := range []string{"770 µF", "10 mF", "17 mF"} {
-		r, err := RunCell(tr, buf, "DE", Options{})
+		r, err := runCell(tr, buf, "DE", scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +94,7 @@ func TestLargeBufferWinsHighPower(t *testing.T) {
 	tr := trace.RFCart(1)
 	perf := map[string]float64{}
 	for _, buf := range BufferNames {
-		r, err := RunCell(tr, buf, "DE", Options{})
+		r, err := runCell(tr, buf, "DE", scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +114,7 @@ func TestLargeBufferWinsHighPower(t *testing.T) {
 // doomed attempts entirely.
 func TestDoomedTransmissions(t *testing.T) {
 	tr := trace.RFObstructed(1)
-	small, err := RunCell(tr, "770 µF", "RT", Options{})
+	small, err := runCell(tr, "770 µF", "RT", scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +124,7 @@ func TestDoomedTransmissions(t *testing.T) {
 	if small.Metrics["failed"] == 0 {
 		t.Error("770 µF should waste energy on doomed transmissions")
 	}
-	react, err := RunCell(tr, "REACT", "RT", Options{})
+	react, err := runCell(tr, "REACT", "RT", scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +141,11 @@ func TestDoomedTransmissions(t *testing.T) {
 // trace Morphy dissipates far more in its switch fabric than REACT does.
 func TestMorphySwitchingLossesVisible(t *testing.T) {
 	tr := trace.RFCart(1)
-	m, err := RunCell(tr, "Morphy", "RT", Options{})
+	m, err := runCell(tr, "Morphy", "RT", scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunCell(tr, "REACT", "RT", Options{})
+	r, err := runCell(tr, "REACT", "RT", scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +163,7 @@ func TestGridShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid takes ~1 minute")
 	}
-	g, err := RunGrid(Options{})
+	g, err := RunGrid(scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,19 +209,19 @@ func TestGridShape(t *testing.T) {
 // buffer plus the extensions, over the short RF traces) through the shared
 // runner and checks two properties of the engine port: every cell's energy
 // ledger balances, and every cell is bit-identical to running the same
-// RunCell sequentially — scheduling through the worker pool changes
+// cell sequentially — scheduling through the worker pool changes
 // nothing about the results.
 func TestRunnerGridMatchesSequentialCells(t *testing.T) {
 	traces := []*trace.Trace{trace.RFCart(1), trace.RFObstructed(1)}
-	buffers := ExtendedBufferNames
-	opt := Options{}
+	buffers := scenario.PresetBuffers
+	opt := scenario.RunOptions{}
 	g, err := runner.RunGridBatched(context.Background(), &runner.Runner{Workers: 4},
 		[]string{"RT"}, traces, buffers,
 		func(_ context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error) {
 			res := make([]sim.Result, len(buffers))
 			for i, buf := range buffers {
 				var err error
-				if res[i], err = RunCell(tr, buf, bench, opt); err != nil {
+				if res[i], err = runCell(tr, buf, bench, opt); err != nil {
 					return nil, err
 				}
 			}
@@ -218,14 +234,14 @@ func TestRunnerGridMatchesSequentialCells(t *testing.T) {
 		if e := r.EnergyBalanceError(); e > 1e-6 {
 			t.Errorf("%s/%s/%s: energy balance error %g", bench, tr.Name, buf, e)
 		}
-		want, err := RunCell(tr, buf, bench, opt)
+		want, err := runCell(tr, buf, bench, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Latency != want.Latency || r.OnTime != want.OnTime ||
 			r.Duration != want.Duration || r.Cycles != want.Cycles ||
 			r.Ledger != want.Ledger || r.Stored != want.Stored {
-			t.Errorf("%s/%s/%s: runner result differs from sequential RunCell", bench, tr.Name, buf)
+			t.Errorf("%s/%s/%s: runner result differs from sequential runCell", bench, tr.Name, buf)
 		}
 		for k, v := range want.Metrics {
 			if r.Metrics[k] != v {
@@ -238,7 +254,7 @@ func TestRunnerGridMatchesSequentialCells(t *testing.T) {
 // TestBackgroundShape checks the §2.1 narration: the reactivity-longevity
 // tradeoff and the night-time behaviour.
 func TestBackgroundShape(t *testing.T) {
-	bg, err := RunBackground(Options{})
+	bg, err := RunBackground(scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +284,72 @@ func TestBackgroundShape(t *testing.T) {
 	}
 }
 
+// TestBackgroundServedByReactd: the §2.1 night analysis is a registered
+// scenario, so reactd serves it. POST /runs {"scenario":
+// "background-night"} to an in-process server returns cells bit-equal to
+// the local run RunBackground reads, and the night numbers derived from
+// those cells are RunBackground's: the 300 mF buffer never starts, and the
+// 1 mF and 10 mF duty ratios match bit for bit.
+func TestBackgroundServedByReactd(t *testing.T) {
+	srv, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	client, err := service.Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.Run(context.Background(), service.RunRequest{Scenario: "background-night"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	local, night, err := runRegistered("background-night", scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Cells) != len(local.Results) {
+		t.Fatalf("served %d cells, the scenario has %d buffers", len(st.Cells), len(local.Results))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, cell := range st.Cells {
+		want := local.Results[i]
+		got := cell.Result
+		if got == nil || cell.Buffer != want.Buffer {
+			t.Fatalf("cell %d: buffer %q with result %v, want %q", i, cell.Buffer, got, want.Buffer)
+		}
+		if !same(got.Latency, want.Latency) || !same(got.OnTime, want.OnTime) ||
+			!same(got.Duration, want.Duration) || !same(got.MeanCycle, want.MeanCycle) ||
+			!same(got.Stored, want.Stored) || got.Cycles != want.Cycles ||
+			got.Ledger != want.Ledger || !reflect.DeepEqual(got.Metrics, want.Metrics) {
+			t.Errorf("%s: served cell differs from the local run:\n got %+v\nwant %+v", cell.Buffer, *got, want)
+		}
+	}
+
+	bg, err := RunBackground(scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if duty := st.Cells[0].Result.OnTime / night.Duration(); !same(duty, bg.NightDuty1mF) {
+		t.Errorf("1 mF night duty %v from the served cell, RunBackground %v", duty, bg.NightDuty1mF)
+	}
+	if duty := st.Cells[1].Result.OnTime / night.Duration(); !same(duty, bg.NightDuty10mF) {
+		t.Errorf("10 mF night duty %v from the served cell, RunBackground %v", duty, bg.NightDuty10mF)
+	}
+	if st.Cells[2].Result.Latency >= 0 || bg.NightStarted300mF {
+		t.Errorf("the 300 mF buffer must never start at night: served latency %v", st.Cells[2].Result.Latency)
+	}
+}
+
 // TestOverheadCharacterization checks §5.1: the 1.8 % software penalty and
 // the ~68 µW hardware draw.
 func TestOverheadCharacterization(t *testing.T) {
-	o, err := RunOverhead(Options{})
+	o, err := RunOverhead(scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +368,7 @@ func TestOverheadCharacterization(t *testing.T) {
 // plotted behaviour: the 1 mF line clips at its maximum voltage during
 // bursts while the 300 mF line climbs slowly and never clips.
 func TestFigure1Series(t *testing.T) {
-	runs, err := Figure1(Options{})
+	runs, err := Figure1(scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +376,13 @@ func TestFigure1Series(t *testing.T) {
 		t.Fatalf("want 2 runs, got %d", len(runs))
 	}
 	small, large := runs[0], runs[1]
-	if small.Result.Cycles < 10*large.Result.Cycles {
-		t.Errorf("1 mF should cycle far more often: %d vs %d", small.Result.Cycles, large.Result.Cycles)
+	if small.Buffer != "1 mF" || large.Buffer != "300 mF" {
+		t.Errorf("buffers %q and %q, want 1 mF and 300 mF", small.Buffer, large.Buffer)
 	}
-	if small.Result.Ledger.Clipped <= large.Result.Ledger.Clipped {
+	if small.Cycles < 10*large.Cycles {
+		t.Errorf("1 mF should cycle far more often: %d vs %d", small.Cycles, large.Cycles)
+	}
+	if small.Ledger.Clipped <= large.Ledger.Clipped {
 		t.Error("1 mF should clip more energy than 300 mF")
 	}
 	if len(small.Samples) == 0 || len(large.Samples) == 0 {
@@ -322,7 +403,7 @@ func TestFigure1Series(t *testing.T) {
 // capacitance actually varies over the run (the adaptive behaviour the
 // figure illustrates).
 func TestFigure6Series(t *testing.T) {
-	series, err := Figure6(Options{})
+	series, err := Figure6(scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +466,7 @@ func TestExtensionBuffersRun(t *testing.T) {
 	tr := trace.RFCart(1)
 	perf := map[string]float64{}
 	for _, buf := range []string{"770 µF", "Capybara", "Dewdrop", "REACT"} {
-		r, err := RunCell(tr, buf, "RT", Options{})
+		r, err := runCell(tr, buf, "RT", scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,11 +488,11 @@ func TestExtensionBuffersRun(t *testing.T) {
 // array (which waits on half-charged reserves before expanding).
 func TestREACTBeatsCapybaraOnThroughput(t *testing.T) {
 	tr := trace.RFCart(1)
-	capy, err := RunCell(tr, "Capybara", "DE", Options{})
+	capy, err := runCell(tr, "Capybara", "DE", scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := RunCell(tr, "REACT", "DE", Options{})
+	re, err := runCell(tr, "REACT", "DE", scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,66 +6,40 @@ import (
 	"io"
 	"strconv"
 
-	"react/internal/buffer"
-	"react/internal/core"
-	"react/internal/harvest"
-	"react/internal/mcu"
-	"react/internal/runner"
+	"react/internal/scenario"
 	"react/internal/sim"
 	"react/internal/trace"
-	"react/internal/workload"
 )
 
-// backgroundDevice returns the §2.1 analysis platform: a system drawing
-// 1.5 mA in active mode, enabled at 3.6 V and cut off at 1.8 V, running
-// continuously whenever powered.
-func backgroundDevice() *mcu.Device {
-	prof := mcu.Profile{
-		VEnable:   3.6,
-		VBrownout: 1.8,
-		BootTime:  5e-3,
-		ActiveI:   1.5e-3,
-		SleepI:    4e-6,
+// runRegistered runs every buffer of the named scenario and rebuilds the
+// trace the run replayed, for the analyses that also read the trace.
+func runRegistered(name string, opt scenario.RunOptions) (*scenario.Run, *trace.Trace, error) {
+	sp, err := lookup(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	return mcu.NewDevice(prof, workload.NewDataEncryption(prof.ActiveI))
+	run, err := sp.Run(context.Background(), nil, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := sp.Trace.Build(run.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return run, tr, nil
 }
 
-// backgroundBuffer builds the static buffers used by the §2.1 analysis;
-// they clip just above the enable voltage like the Figure 1 plot shows.
-func backgroundBuffer(c float64) buffer.Buffer {
-	return buffer.NewStatic(buffer.StaticConfig{
-		Name: fmt.Sprintf("%g mF", c*1e3), C: c, VMax: 3.65,
-		LeakI: staticLeak(c), VRated: 6.3,
-	})
-}
-
-// Figure1Run holds one buffer's series for Figure 1.
-type Figure1Run struct {
-	Label   string
-	Result  sim.Result
-	Samples []sim.Sample
-}
-
-// Figure1 reproduces the paper's Figure 1: a 1 mF and a 300 mF static
-// buffer on the simulated pedestrian solar harvester, with the harvested
-// power series and each buffer's voltage/on-time series.
-func Figure1(opt Options) ([]Figure1Run, error) {
-	tr := trace.Fig1Pedestrian(opt.seed())
-	return runner.Sweep(context.Background(), nil, []float64{1e-3, 300e-3},
-		func(ctx context.Context, c float64) (Figure1Run, error) {
-			buf := backgroundBuffer(c)
-			res, err := sim.Run(sim.Config{
-				DT:       opt.DT,
-				Frontend: harvest.NewFrontend(tr, nil),
-				Buffer:   buf,
-				Device:   backgroundDevice(),
-				RecordDT: 1.0,
-			})
-			if err != nil {
-				return Figure1Run{}, err
-			}
-			return Figure1Run{Label: buf.Name(), Result: res, Samples: res.Samples}, nil
-		})
+// Figure1 reproduces the paper's Figure 1 from the background-pedestrian
+// scenario: a 1 mF and a 300 mF static buffer on the pedestrian solar
+// trace. Each result carries its buffer label and its voltage/on-time
+// series, recorded once a second.
+func Figure1(opt scenario.RunOptions) ([]sim.Result, error) {
+	opt.RecordDT = 1
+	run, _, err := runRegistered("background-pedestrian", opt)
+	if err != nil {
+		return nil, err
+	}
+	return run.Results, nil
 }
 
 // Background reproduces the quantitative claims woven through §2.1: the
@@ -87,43 +61,31 @@ type Background struct {
 	NightStarted300mF           bool
 }
 
-// RunBackground computes the §2.1 analysis.
-func RunBackground(opt Options) (Background, error) {
+// RunBackground computes the §2.1 analysis from the background-pedestrian
+// and background-night scenarios.
+func RunBackground(opt scenario.RunOptions) (Background, error) {
 	var bg Background
-	ped := trace.Fig1Pedestrian(opt.seed())
-	night := trace.Night(opt.seed())
-	bg.EnergyAbove10mW = ped.EnergyFractionAbove(10e-3)
-	bg.TimeBelow3mW = ped.TimeFractionBelow(3e-3)
-
-	type point struct {
-		tr *trace.Trace
-		c  float64
-	}
-	points := []point{
-		{ped, 1e-3}, {ped, 300e-3},
-		{night, 1e-3}, {night, 10e-3}, {night, 300e-3},
-	}
-	res, err := runner.Sweep(context.Background(), nil, points,
-		func(ctx context.Context, p point) (sim.Result, error) {
-			return sim.Run(sim.Config{
-				DT:       opt.DT,
-				Frontend: harvest.NewFrontend(p.tr, nil),
-				Buffer:   backgroundBuffer(p.c),
-				Device:   backgroundDevice(),
-			})
-		})
+	ped, pedTr, err := runRegistered("background-pedestrian", opt)
 	if err != nil {
 		return bg, err
 	}
+	night, nightTr, err := runRegistered("background-night", opt)
+	if err != nil {
+		return bg, err
+	}
+	bg.EnergyAbove10mW = pedTr.EnergyFractionAbove(10e-3)
+	bg.TimeBelow3mW = pedTr.TimeFractionBelow(3e-3)
 
-	small, large := res[0], res[1]
+	// Buffers in registration order: 1 mF and 300 mF on the pedestrian
+	// trace, 1, 10 and 300 mF at night.
+	small, large := ped.Results[0], ped.Results[1]
 	bg.LatencySmall, bg.LatencyLarge = small.Latency, large.Latency
 	bg.CycleSmall, bg.CycleLarge = small.MeanCycle, large.MeanCycle
-	bg.DutySmall = small.OnTime / ped.Duration()
-	bg.DutyLarge = large.OnTime / ped.Duration()
-	bg.NightDuty1mF = res[2].OnTime / night.Duration()
-	bg.NightDuty10mF = res[3].OnTime / night.Duration()
-	bg.NightStarted300mF = res[4].Latency >= 0
+	bg.DutySmall = small.OnTime / pedTr.Duration()
+	bg.DutyLarge = large.OnTime / pedTr.Duration()
+	bg.NightDuty1mF = night.Results[0].OnTime / nightTr.Duration()
+	bg.NightDuty10mF = night.Results[1].OnTime / nightTr.Duration()
+	bg.NightStarted300mF = night.Results[2].Latency >= 0
 	return bg, nil
 }
 
@@ -152,28 +114,27 @@ func (bg Background) Table() *Table {
 
 // Figure6 reproduces the paper's Figure 6: buffer voltage and on-time for
 // the SC benchmark under the RF Mobile trace, for the 770 µF and 10 mF
-// statics, Morphy, and REACT.
-func Figure6(opt Options) (map[string][]sim.Sample, error) {
-	tr := trace.RFMobile(opt.seed())
+// statics, Morphy, and REACT — those buffers of paper-sc-rf-mobile,
+// recorded every 0.5 s unless opt sets another interval.
+func Figure6(opt scenario.RunOptions) (map[string][]sim.Sample, error) {
+	sp, err := lookup(scenario.PaperName("SC", "RF Mobile"))
+	if err != nil {
+		return nil, err
+	}
 	buffers := []string{"770 µF", "10 mF", "Morphy", "REACT"}
-	series, err := runner.Sweep(context.Background(), nil, buffers,
-		func(ctx context.Context, buf string) ([]sim.Sample, error) {
-			o := opt
-			if o.RecordDT == 0 {
-				o.RecordDT = 0.5
-			}
-			r, err := RunCell(tr, buf, "SC", o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Samples, nil
-		})
+	if err = selectBuffers(sp, buffers); err != nil {
+		return nil, err
+	}
+	if opt.RecordDT == 0 {
+		opt.RecordDT = 0.5
+	}
+	run, err := sp.Run(context.Background(), nil, opt)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]sim.Sample, len(buffers))
 	for i, buf := range buffers {
-		out[buf] = series[i]
+		out[buf] = run.Results[i].Samples
 	}
 	return out, nil
 }
@@ -216,30 +177,14 @@ type Overhead struct {
 }
 
 // RunOverhead measures the overheads on steady power, the way §5.1 does
-// (DE benchmark, constant supply, five minutes).
-func RunOverhead(opt Options) (Overhead, error) {
-	const duration = 300.0
-	steady := &trace.Trace{Name: "steady 10 mW", DT: 1, Power: make([]float64, int(duration))}
-	for i := range steady.Power {
-		steady.Power[i] = 10e-3
-	}
-
-	res, err := runner.Sweep(context.Background(), nil,
-		[]float64{core.DefaultConfig().SoftwareOverhead, 0},
-		func(ctx context.Context, softwareOverhead float64) (sim.Result, error) {
-			cfg := core.DefaultConfig()
-			cfg.SoftwareOverhead = softwareOverhead
-			return sim.Run(sim.Config{
-				DT:       opt.DT,
-				Frontend: harvest.NewFrontend(steady, nil),
-				Buffer:   core.New(cfg),
-				Device:   mcu.NewDevice(mcu.DefaultProfile(), workload.NewDataEncryption(DEActiveI)),
-			})
-		})
+// (DE benchmark, constant 10 mW supply, five minutes): the react-overhead
+// scenario runs REACT with its poll and with the poll's overhead removed.
+func RunOverhead(opt scenario.RunOptions) (Overhead, error) {
+	run, _, err := runRegistered("react-overhead", opt)
 	if err != nil {
 		return Overhead{}, err
 	}
-	withPoll, noPoll := res[0], res[1]
+	withPoll, noPoll := run.Results[0], run.Results[1]
 
 	var o Overhead
 	if n := noPoll.Metrics["blocks"]; n > 0 {
@@ -248,7 +193,7 @@ func RunOverhead(opt Options) (Overhead, error) {
 	if withPoll.OnTime > 0 {
 		o.HardwareDrawW = withPoll.Ledger.Overhead / withPoll.OnTime
 	}
-	o.PerBankW = o.HardwareDrawW / float64(len(core.DefaultConfig().Banks))
+	o.PerBankW = o.HardwareDrawW / float64(len(scenario.ReactSpec{}.Config().Banks))
 	return o, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"react/internal/rng"
+	"react/internal/scenario"
 	"react/internal/trace"
 )
 
@@ -47,7 +48,7 @@ func TestFuzzAllCells(t *testing.T) {
 		tr := randomTrace(seed)
 		for _, buf := range BufferNames {
 			for _, bench := range BenchmarkNames {
-				r, err := RunCell(tr, buf, bench, Options{Seed: seed})
+				r, err := runCell(tr, buf, bench, scenario.RunOptions{Seed: seed})
 				if err != nil {
 					t.Fatalf("seed %d %s/%s: %v", seed, buf, bench, err)
 				}
@@ -82,7 +83,7 @@ func TestFuzzAllCells(t *testing.T) {
 func TestFuzzAccountingConsistency(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		tr := randomTrace(seed * 31)
-		r, err := RunCell(tr, "REACT", "SC", Options{Seed: seed})
+		r, err := runCell(tr, "REACT", "SC", scenario.RunOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestFuzzAccountingConsistency(t *testing.T) {
 			t.Errorf("seed %d SC: %g accounted > %g deadlines", seed, accounted, deadlines)
 		}
 
-		p, err := RunCell(tr, "REACT", "PF", Options{Seed: seed})
+		p, err := runCell(tr, "REACT", "PF", scenario.RunOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +112,11 @@ func TestFuzzAccountingConsistency(t *testing.T) {
 // TestFuzzDeterminism verifies a full simulation is bit-reproducible.
 func TestFuzzDeterminism(t *testing.T) {
 	tr := randomTrace(9)
-	a, err := RunCell(tr, "REACT", "PF", Options{Seed: 9})
+	a, err := runCell(tr, "REACT", "PF", scenario.RunOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCell(randomTrace(9), "REACT", "PF", Options{Seed: 9})
+	b, err := runCell(randomTrace(9), "REACT", "PF", scenario.RunOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

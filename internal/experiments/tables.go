@@ -3,14 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"react/internal/core"
+	"react/internal/scenario"
 	"react/internal/trace"
 )
 
 // Table1 reports the REACT implementation's bank configuration — the
 // paper's Table 1.
 func Table1() *Table {
-	cfg := core.DefaultConfig()
+	cfg := scenario.ReactSpec{}.Config()
 	t := &Table{
 		Title:  "Table 1: REACT bank sizes and configurations (bank 0 is the last-level buffer)",
 		Header: []string{"Bank", "Capacitor Size (µF)", "Capacitor Count"},

@@ -25,6 +25,17 @@ func PaperName(bench, traceName string) string {
 	return "paper-" + strings.ToLower(bench) + "-" + slug
 }
 
+// staticsMF builds the §2.1 analysis's static buffers, labelled by size in
+// millifarads ("1 mF"). They clip at 3.65 V, just above the 3.6 V enable
+// voltage, as the Figure 1 plot shows.
+func staticsMF(cs ...float64) []BufferSpec {
+	specs := make([]BufferSpec, len(cs))
+	for i, c := range cs {
+		specs[i] = BufferSpec{Label: fmt.Sprintf("%g mF", c*1e3), Static: &StaticSpec{C: c, VMax: 3.65}}
+	}
+	return specs
+}
+
 func init() {
 	// The extended catalogue: stress scenarios beyond the paper's §4.2
 	// grid, drawn from the related work the repository tracks (memory-aware
@@ -115,6 +126,39 @@ func init() {
 		},
 		Workload: WorkloadSpec{Bench: "MIX"},
 		Buffers:  Presets("770 µF", "10 mF", "REACT"),
+	})
+
+	// The paper's §2.1 background analysis (Figure 1 and the night-time
+	// duty cycles) and its §5.1 overhead characterization. internal/
+	// experiments renders their tables and series from these runs; the
+	// buffer labels are the CSV and table headings. The §2.1 platform is
+	// the default profile enabled at 3.6 V, drawing 1.5 mA while it runs
+	// continuously whenever powered.
+	mustRegister(&Spec{
+		Name:     "background-pedestrian",
+		Title:    "§2.1 / Figure 1: 1 mF vs 300 mF static buffers on the pedestrian solar trace",
+		Trace:    TraceSpec{Gen: "pedestrian"},
+		Device:   DeviceSpec{VEnable: 3.6},
+		Workload: WorkloadSpec{Bench: "DE", ActiveI: 1.5e-3},
+		Buffers:  staticsMF(1e-3, 300e-3),
+	})
+	mustRegister(&Spec{
+		Name:     "background-night",
+		Title:    "§2.1 night-time duty cycles: 1, 10 and 300 mF static buffers after dark",
+		Trace:    TraceSpec{Gen: "night"},
+		Device:   DeviceSpec{VEnable: 3.6},
+		Workload: WorkloadSpec{Bench: "DE", ActiveI: 1.5e-3},
+		Buffers:  staticsMF(1e-3, 10e-3, 300e-3),
+	})
+	mustRegister(&Spec{
+		Name:     "react-overhead",
+		Title:    "§5.1 overheads: REACT with and without its 10 Hz poll on steady 10 mW",
+		Trace:    TraceSpec{Gen: "steady"},
+		Workload: WorkloadSpec{Bench: "DE"},
+		Buffers: []BufferSpec{
+			{Preset: "REACT"},
+			{Label: "REACT no poll", React: &ReactSpec{NoPoll: true}},
+		},
 	})
 
 	// The paper grid: every §4.2 benchmark × Table 3 trace cell, each over

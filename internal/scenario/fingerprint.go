@@ -24,7 +24,9 @@ import (
 // seed → 1; timestep 0 → the spec's → 1 ms; tail cap 0 → 600 s; the
 // steady generator's mean/duration; a static buffer's VMax/LeakI/VRated),
 // so a defaulted run and its explicitly spelled-out equivalent share one
-// address. Workload-internal defaults (an SC period, a PF interarrival)
+// address. A buffer's react block is hashed as written; an absent block is
+// omitted from the encoding, so buffers without one keep the addresses
+// they had before the block existed. Workload-internal defaults (an SC period, a PF interarrival)
 // are hashed raw: spelling one out produces a distinct address even when
 // it matches the benchmark's built-in default — a dedup miss, never a
 // false hit.
@@ -36,7 +38,7 @@ import (
 // reaches none of the two breaks the build — a missed field would let two
 // different runs share a cache address.
 //
-//lint:fpcomplete-target Spec TraceSpec DeviceSpec WorkloadSpec BufferSpec StaticSpec RunOptions ckpt.Config
+//lint:fpcomplete-target Spec TraceSpec DeviceSpec WorkloadSpec BufferSpec StaticSpec ReactSpec RunOptions ckpt.Config
 //lint:fpcomplete-allow Spec.Name presentation metadata, not physics (canonical form comment above)
 //lint:fpcomplete-allow Spec.Title presentation metadata, not physics
 //lint:fpcomplete-allow Spec.Paper presentation metadata, not physics

@@ -82,6 +82,12 @@ func TestFingerprintSeparatesEveryPhysicsField(t *testing.T) {
 		"static buffer": func(s *scenario.Spec, _ *scenario.RunOptions) {
 			s.Buffers = append(s.Buffers, scenario.BufferSpec{Label: "1 mF", Static: &scenario.StaticSpec{C: 1e-3}})
 		},
+		"react block": func(s *scenario.Spec, _ *scenario.RunOptions) {
+			s.Buffers = append(s.Buffers, scenario.BufferSpec{Label: "R", React: &scenario.ReactSpec{}})
+		},
+		"react no_poll": func(s *scenario.Spec, _ *scenario.RunOptions) {
+			s.Buffers = append(s.Buffers, scenario.BufferSpec{Label: "R", React: &scenario.ReactSpec{NoPoll: true}})
+		},
 		"dt":       func(s *scenario.Spec, _ *scenario.RunOptions) { s.DT = 5e-3 },
 		"tail cap": func(s *scenario.Spec, _ *scenario.RunOptions) { s.TailCap = 120 },
 		"seed":     func(s *scenario.Spec, _ *scenario.RunOptions) { s.Seed = 2 },

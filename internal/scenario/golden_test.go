@@ -223,7 +223,7 @@ func TestGoldenPaperGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid takes ~1 minute")
 	}
-	g, err := experiments.RunGrid(experiments.Options{})
+	g, err := experiments.RunGrid(scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,6 +184,56 @@ func TestStaticSpecRejectsNonFiniteFields(t *testing.T) {
 	}
 }
 
+// TestReactBlock: a react block is a custom buffer (label required, no
+// other kind beside it), builds REACT with the poll's overhead removed
+// when no_poll is set, and is deep-copied by Clone.
+func TestReactBlock(t *testing.T) {
+	spec := func(bs scenario.BufferSpec) *scenario.Spec {
+		return &scenario.Spec{
+			Name:     "react-block",
+			Trace:    scenario.TraceSpec{Gen: "steady", Duration: 10},
+			Workload: scenario.WorkloadSpec{Bench: "DE"},
+			Buffers:  []scenario.BufferSpec{bs},
+		}
+	}
+	for label, bs := range map[string]scenario.BufferSpec{
+		"no label":         {React: &scenario.ReactSpec{NoPoll: true}},
+		"react and preset": {Label: "r", Preset: "REACT", React: &scenario.ReactSpec{}},
+		"react and static": {Label: "r", Static: &scenario.StaticSpec{C: 1e-3}, React: &scenario.ReactSpec{}},
+	} {
+		if err := spec(bs).Validate(); err == nil {
+			t.Errorf("%s: Validate must reject it", label)
+		}
+	}
+
+	if cfg := (scenario.ReactSpec{NoPoll: true}).Config(); cfg.SoftwareOverhead != 0 {
+		t.Errorf("no_poll config keeps a %v software overhead", cfg.SoftwareOverhead)
+	}
+	if cfg := (scenario.ReactSpec{}).Config(); cfg.SoftwareOverhead <= 0 {
+		t.Errorf("the default block must keep the poll's overhead, got %v", cfg.SoftwareOverhead)
+	}
+	s := spec(scenario.BufferSpec{Label: "REACT no poll", React: &scenario.ReactSpec{NoPoll: true}})
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Clone()
+	c.Buffers[0].React.NoPoll = false
+	if !s.Buffers[0].React.NoPoll {
+		t.Error("Clone shares the react block with the original")
+	}
+	withPoll, err := spec(scenario.BufferSpec{Preset: "REACT"}).Cell(0, scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPoll, err := s.Cell(0, scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noPoll.Metrics["blocks"] <= withPoll.Metrics["blocks"] {
+		t.Errorf("without the poll DE should finish more blocks: %v vs %v", noPoll.Metrics["blocks"], withPoll.Metrics["blocks"])
+	}
+}
+
 func TestSpecJSONRoundTrip(t *testing.T) {
 	for _, s := range scenario.Extended() {
 		data, err := s.JSON()

@@ -383,14 +383,39 @@ func (st StaticSpec) build(name string) buffer.Buffer {
 	})
 }
 
+// ReactSpec describes a REACT buffer that departs from the "REACT" preset,
+// for the §5.1 overhead characterization. The buffer still reports itself
+// as "REACT" (sim.Result.Buffer); the spec's label names its cell in runs,
+// goldens and tables.
+type ReactSpec struct {
+	// NoPoll zeroes the 10 Hz software poll's share of the device's
+	// compute (core.Config.SoftwareOverhead), the baseline §5.1 measures
+	// the poll against.
+	NoPoll bool `json:"no_poll,omitempty"`
+}
+
+// Config returns the REACT configuration the block builds: the paper's
+// default bank layout with the block's changes applied.
+func (rs ReactSpec) Config() core.Config {
+	cfg := core.DefaultConfig()
+	if rs.NoPoll {
+		cfg.SoftwareOverhead = 0
+	}
+	return cfg
+}
+
 // BufferSpec selects one energy buffer of a scenario. Exactly one of
-// Preset, Static, or New must be set.
+// Preset, Static, React, or New must be set.
 type BufferSpec struct {
 	// Preset names one of the stock designs (PresetBuffers).
 	Preset string `json:"preset,omitempty"`
 	// Static builds a custom fixed-size capacitor; requires Label.
 	Static *StaticSpec `json:"static,omitempty"`
-	// Label overrides the display name (required for Static and New).
+	// React builds a REACT buffer with a changed configuration; requires
+	// Label.
+	React *ReactSpec `json:"react,omitempty"`
+	// Label overrides the display name (required for Static, React and
+	// New).
 	Label string `json:"label,omitempty"`
 	// New is a Go-only custom constructor; requires Label. It must return
 	// a fresh buffer per call.
@@ -415,6 +440,8 @@ func (bs BufferSpec) Build() (buffer.Buffer, error) {
 			return nil, err
 		}
 		return bs.Static.build(bs.DisplayName()), nil
+	case bs.React != nil:
+		return core.New(bs.React.Config()), nil
 	default:
 		return NewPresetBuffer(bs.Preset)
 	}
@@ -429,11 +456,14 @@ func (bs BufferSpec) validate() error {
 	if bs.Static != nil {
 		set++
 	}
+	if bs.React != nil {
+		set++
+	}
 	if bs.New != nil {
 		set++
 	}
 	if set != 1 {
-		return fmt.Errorf("buffer %q: exactly one of preset, static, or a constructor is required", bs.DisplayName())
+		return fmt.Errorf("buffer %q: exactly one of preset, static, react, or a constructor is required", bs.DisplayName())
 	}
 	if bs.Preset != "" {
 		if _, err := NewPresetBuffer(bs.Preset); err != nil {
@@ -554,6 +584,10 @@ func (s *Spec) Clone() *Spec {
 		if st := c.Buffers[i].Static; st != nil {
 			cp := *st
 			c.Buffers[i].Static = &cp
+		}
+		if rs := c.Buffers[i].React; rs != nil {
+			cp := *rs
+			c.Buffers[i].React = &cp
 		}
 	}
 	if ck := s.Device.Checkpoint; ck != nil {

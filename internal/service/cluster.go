@@ -184,8 +184,11 @@ func (cl *cluster) owner(fp string) string {
 //
 //	static presets, custom static, Dewdrop   1
 //	Capybara                                 2
-//	REACT, Morphy                            4
+//	REACT (preset or react block), Morphy     4
 func simWeight(bs scenario.BufferSpec) int {
+	if bs.React != nil {
+		return 4
+	}
 	switch bs.Preset {
 	case "REACT", "Morphy":
 		return 4

@@ -59,6 +59,9 @@ func TestSimWeights(t *testing.T) {
 	if got := simWeight(scenario.BufferSpec{Label: "c", Static: &scenario.StaticSpec{C: 1e-3}}); got != 1 {
 		t.Errorf("simWeight(custom static) = %d, want 1", got)
 	}
+	if got := simWeight(scenario.BufferSpec{Label: "r", React: &scenario.ReactSpec{NoPoll: true}}); got != 4 {
+		t.Errorf("simWeight(react block) = %d, want 4", got)
+	}
 }
 
 // TestPlaceKeepsPinnedCells: only travelling cells are planned. A cell of

@@ -247,6 +247,12 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	if tr.DT <= 0 {
 		return nil, errors.New("trace: non-increasing timestamps")
 	}
+	// Finite stamps can still be a spacing or a length apart that float64
+	// cannot hold; the replay runs from t = 0, so its whole extent must be
+	// finite.
+	if math.IsInf(tr.Duration(), 0) {
+		return nil, fmt.Errorf("trace: spacing %v over %d samples overflows the time axis", tr.DT, len(tr.Power))
+	}
 	// The contract is uniform spacing, and the simulation trusts it: a
 	// jittered or gapped recording replayed on a DT grid would silently
 	// stretch or compress time. Verify every consecutive difference

@@ -296,6 +296,9 @@ type (
 	ScenarioBuffer = scenario.BufferSpec
 	// ScenarioStatic describes a custom fixed-size buffer capacitor.
 	ScenarioStatic = scenario.StaticSpec
+	// ScenarioReact describes a REACT buffer with a changed configuration
+	// (the §5.1 no-poll baseline).
+	ScenarioReact = scenario.ReactSpec
 	// ScenarioOptions tunes one scenario run (seed, timestep, recording,
 	// probe); the worker pool is RunScenario's default or Scenario.Run's
 	// runner argument.
