@@ -141,35 +141,9 @@ func Sweep[P, R any](ctx context.Context, r *Runner, points []P, fn func(ctx con
 
 // Slots returns the worker-pool size the runner would use for an unbounded
 // batch — the partition width for callers that pre-chunk work into one
-// contiguous piece per worker (see Chunks). A nil runner reports the
-// default pool size.
+// contiguous piece per worker (scenario.PlanBatches). A nil runner reports
+// the default pool size.
 func (r *Runner) Slots() int { return r.workers() }
-
-// Chunks partitions [0, n) into at most parts contiguous half-open ranges
-// [lo, hi) of near-equal size, in order. It is the batching complement to
-// Do: jobs that would queue behind a full pool are merged into one chunk
-// instead, so a lockstep executor can run them over a single trace pass
-// while a pool with slots to spare still gets one chunk per slot. n <= 0
-// yields no chunks; parts <= 0 is treated as one.
-func Chunks(n, parts int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if parts <= 0 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	lo := 0
-	for p := 0; p < parts; p++ {
-		hi := lo + (n-lo)/(parts-p)
-		out = append(out, [2]int{lo, hi})
-		lo = hi
-	}
-	return out
-}
 
 // Seeds returns the n deterministic sweep seeds 1..n (seed 0 means "default"
 // throughout the repository, so sweeps start at 1).

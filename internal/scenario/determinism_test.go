@@ -67,8 +67,8 @@ func equalResults(t *testing.T, label string, a, b sim.Result) {
 
 // TestScenarioDeterminism extends the engine's worker-count determinism
 // guarantee to the scenario layer: every covered scenario is bit-identical
-// for a single-worker pool, an eight-worker pool, and a back-to-back
-// repeat.
+// for one, two and eight workers (one batch, a few chunks, one cell per
+// batch) and across a back-to-back repeat.
 func TestScenarioDeterminism(t *testing.T) {
 	for _, spec := range determinismSpecs(t) {
 		spec := spec
@@ -81,18 +81,18 @@ func TestScenarioDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wide, err := spec.Run(ctx, &runner.Runner{Workers: 8}, scenario.RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := spec.Run(ctx, &runner.Runner{Workers: 8}, scenario.RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range spec.Buffers {
-				label := spec.Name + "/" + spec.Buffers[i].DisplayName()
-				equalResults(t, label+" (1 vs 8 workers)", serial.Results[i], wide.Results[i])
-				equalResults(t, label+" (back-to-back)", wide.Results[i], again.Results[i])
+			for _, run := range []struct {
+				label   string
+				workers int
+			}{{"1 vs 2 workers", 2}, {"1 vs 8 workers", 8}, {"back-to-back", 1}} {
+				got, err := spec.Run(ctx, &runner.Runner{Workers: run.workers}, scenario.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range spec.Buffers {
+					label := spec.Name + "/" + spec.Buffers[i].DisplayName()
+					equalResults(t, label+" ("+run.label+")", serial.Results[i], got.Results[i])
+				}
 			}
 		})
 	}

@@ -276,8 +276,8 @@ func TestRegisteredScenariosAllFingerprint(t *testing.T) {
 }
 
 // TestValidateRejectsLabelShadowingPreset covers the display-name collision
-// Run.Result/CellNamed would otherwise silently shadow: a custom buffer
-// whose label equals another buffer's preset name.
+// Run.Result would otherwise silently shadow: a custom buffer whose label
+// equals another buffer's preset name.
 func TestValidateRejectsLabelShadowingPreset(t *testing.T) {
 	s := fpSpec()
 	s.Buffers = append(s.Buffers, scenario.BufferSpec{

@@ -80,41 +80,16 @@ func (s *Spec) Cell(i int, opt RunOptions) (sim.Result, error) {
 	return res[0], nil
 }
 
-// CellNamed runs the buffer with the given display name.
-func (s *Spec) CellNamed(buffer string, opt RunOptions) (sim.Result, error) {
-	for i, bs := range s.Buffers {
-		if bs.DisplayName() == buffer {
-			return s.Cell(i, opt)
-		}
-	}
-	return sim.Result{}, fmt.Errorf("scenario %s: no buffer %q", s.Name, buffer)
-}
-
 // Run simulates every buffer of the spec over r's worker pool (nil r uses
-// GOMAXPROCS workers). Results are deterministic for any worker count.
-//
-// The buffer axis is partitioned into one contiguous chunk per worker
-// slot: with at least as many workers as buffers this degenerates to the
-// old cell-per-job fan-out, and with fewer workers the cells that would
-// have queued behind a busy pool share lockstep trace passes (RunBatch)
-// instead. Chunking never changes results — only how many cells ride one
-// pass.
+// GOMAXPROCS workers) as RunCells batches them. Results are deterministic
+// for any worker count.
 func (s *Spec) Run(ctx context.Context, r *runner.Runner, opt RunOptions) (*Run, error) {
-	chunks := runner.Chunks(len(s.Buffers), r.Slots())
-	results := make([]sim.Result, len(s.Buffers))
-	err := r.Do(ctx, len(chunks), func(_ context.Context, ci int) error {
-		lo, hi := chunks[ci][0], chunks[ci][1]
-		items := make([]BatchItem, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			items = append(items, BatchItem{Spec: s, Buffer: i})
-		}
-		res, err := RunBatch(items, opt, nil)
-		if err != nil {
-			return err
-		}
-		copy(results[lo:hi], res)
-		return nil
-	})
+	items := make([]BatchItem, len(s.Buffers))
+	opts := make([]RunOptions, len(s.Buffers))
+	for i := range items {
+		items[i], opts[i] = BatchItem{Spec: s, Buffer: i}, opt
+	}
+	results, err := RunCells(ctx, r, items, opts)
 	if err != nil {
 		return nil, err
 	}

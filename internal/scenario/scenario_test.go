@@ -259,13 +259,6 @@ func TestParseSpecRejectsMalformedJSON(t *testing.T) {
 	}
 }
 
-func TestCellNamedUnknownBufferErrors(t *testing.T) {
-	s, _ := scenario.Lookup("energy-attack")
-	if _, err := s.CellNamed("1 F", scenario.RunOptions{}); err == nil {
-		t.Error("unknown buffer display name must error")
-	}
-}
-
 func TestTraceSpecLoadedIsNotMutatedByKnobs(t *testing.T) {
 	tr := trace.Steady("shared", 2e-3, 100)
 	ts := scenario.TraceSpec{Loaded: tr, Mean: 4e-3, Duration: 50}

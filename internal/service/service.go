@@ -191,9 +191,9 @@ type Server struct {
 	viewLRU *list.List       // done views kept for polling/dedup, MRU first
 	junk    *list.List       // failed/cancelled views kept briefly for polling
 	// pending holds fresh cells attached but not yet scheduled: a
-	// submission attaches all its cells first, then flushPendingLocked groups
-	// them by (trace, seed, dt) batch key so cells sharing a trace pass
-	// run in lockstep (scenario.RunBatch) instead of one pass each.
+	// submission attaches all its cells first, then flushPendingLocked plans
+	// them by batch key (scenario.PlanBatches) so cells sharing a trace
+	// pass run in lockstep (scenario.RunBatch) instead of one pass each.
 	pending []pendingCell
 }
 
@@ -213,14 +213,6 @@ type pendingCell struct {
 	// tctx is the attaching view's root span context: the parent of the
 	// batch-group span this cell's simulation will nest under.
 	tctx obs.SpanContext
-}
-
-// batchKey groups pending cells that can share one lockstep trace pass:
-// the same trace spec, effective seed and effective timestep.
-type batchKey struct {
-	trace scenario.TraceSpec
-	seed  uint64
-	dt    float64
 }
 
 // junkRuns bounds the failed/cancelled views kept around for polling. They
@@ -657,59 +649,53 @@ func (s *Server) attachCellLocked(v *view, spec *scenario.Spec, i int, opt scena
 	return c, cellFresh
 }
 
-// flushPendingLocked groups the pending fresh cells by batch key and schedules
-// one lockstep batch per group, so a sweep's cells sharing a (trace, seed,
-// dt) address make one pass over the trace however many buffers ride it.
-// In cluster mode the flush is first placed over the ring (cluster.place:
-// every cell's owner and simulating member), then each group is
-// partitioned by peer route: cells owned and simulated here run locally,
-// the rest travel to their owners or simulating members — still grouped,
-// so remote fan-out keeps the one-trace-pass-per-seed batching. Called
-// with s.mu held after a submission attaches all its cells.
+// flushPendingLocked plans the pending fresh cells into lockstep batches,
+// one per (trace, seed, dt) key (scenario.PlanBatches with one slot), so a
+// sweep's cells sharing a key make one pass over the trace however many
+// buffers ride it. In cluster mode the flush is first placed over the ring
+// (cluster.place: every cell's owner and simulating member), then each
+// batch is partitioned by peer route: cells owned and simulated here run
+// locally, the rest travel to their owners or simulating members — still
+// grouped, so remote fan-out keeps the one-trace-pass-per-seed batching.
+// Called with s.mu held after a submission attaches all its cells.
 func (s *Server) flushPendingLocked() {
+	var fresh []pendingCell
+	var items []scenario.BatchItem
+	var opts []scenario.RunOptions
 	pend := s.pending
 	s.pending = nil
-	groups := map[batchKey][]pendingCell{}
-	var order []batchKey
 	for _, p := range pend {
-		k := batchKey{
-			trace: p.spec.Trace,
-			seed:  p.spec.ResolveSeed(p.opt.Seed),
-			dt:    p.spec.ResolveDT(p.opt.DT),
-		}
 		if p.c.fp == "" {
 			// Unfingerprintable cells carry arbitrary Go constructors the
 			// service cannot reason about (side effects, shared state), so
 			// they keep per-cell scheduling: each runs as a batch of one,
 			// finishing — and cancelling — independently.
-			s.startBatch([]pendingCell{p}, scenario.RunOptions{Seed: k.seed, DT: k.dt})
+			s.startBatch([]pendingCell{p}, scenario.RunOptions{Seed: p.spec.ResolveSeed(p.opt.Seed), DT: p.spec.ResolveDT(p.opt.DT)})
 			continue
 		}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		fresh = append(fresh, p)
+		items = append(items, scenario.BatchItem{Spec: p.spec, Buffer: p.i})
+		opts = append(opts, p.opt)
+	}
+	batches := scenario.PlanBatches(items, opts, 1)
+	groups := make([][]pendingCell, len(batches))
+	for gi, b := range batches {
+		for _, i := range b.Items {
+			groups[gi] = append(groups[gi], fresh[i])
 		}
-		groups[k] = append(groups[k], p)
 	}
 	if s.cluster != nil {
-		placed := make([][]pendingCell, len(order))
-		for i, k := range order {
-			placed[i] = groups[k]
-		}
-		s.cluster.place(placed)
+		s.cluster.place(groups)
 	}
-	for _, k := range order {
-		// Fully resolved options apply uniformly to every member, whatever
-		// each spec's own defaults were (resolution is deterministic, so
-		// results match per-cell runs bit for bit).
-		opt := scenario.RunOptions{Seed: k.seed, DT: k.dt}
+	for gi, b := range batches {
 		if s.cluster == nil {
-			s.startBatch(groups[k], opt)
+			s.startBatch(groups[gi], b.Opt)
 			continue
 		}
 		var local []pendingCell
 		byRoute := map[peerRoute][]pendingCell{}
 		var routes []peerRoute
-		for _, p := range groups[k] {
+		for _, p := range groups[gi] {
 			r, remote := s.cluster.route(p)
 			if !remote {
 				local = append(local, p)
@@ -721,10 +707,10 @@ func (s *Server) flushPendingLocked() {
 			byRoute[r] = append(byRoute[r], p)
 		}
 		if len(local) > 0 {
-			s.startBatch(local, opt)
+			s.startBatch(local, b.Opt)
 		}
 		for _, r := range routes {
-			s.startPeerGroup(r, byRoute[r], opt)
+			s.startPeerGroup(r, byRoute[r], b.Opt)
 		}
 	}
 }

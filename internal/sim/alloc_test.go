@@ -36,10 +36,22 @@ func TestNilProbeAllocsIndependentOfLength(t *testing.T) {
 			}
 		})
 	}
+	// AllocsPerRun counts every malloc in the process, so a runtime
+	// allocation landing in the window (a busy machine, a GC cycle) reads
+	// as the run's own. The fewest of a few measurements drops that noise;
+	// a real per-tick allocation would still add ≥100k between 100 s and
+	// 400 s on every try.
+	fewest := func(dur int, batch bool) float64 {
+		best := allocs(dur, batch)
+		for try := 1; try < 5; try++ {
+			best = min(best, allocs(dur, batch))
+		}
+		return best
+	}
 	for _, batch := range []bool{false, true} {
-		base := allocs(100, batch)
+		base := fewest(100, batch)
 		for _, dur := range []int{200, 400} {
-			if got := allocs(dur, batch); got != base {
+			if got := fewest(dur, batch); got != base {
 				t.Errorf("batch=%v: %v allocs at %d s, %v at 100 s: the per-tick path allocates", batch, got, dur, base)
 			}
 		}
